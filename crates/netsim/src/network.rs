@@ -26,6 +26,10 @@ pub enum ProviderResult {
 
 /// Supplies content for URLs (implemented by `webgen` over the synthetic
 /// population).
+///
+/// `resolve` must be a pure function of the URL: [`SimNetwork`] answers
+/// the post-fetch probe of a document it just served from that fetch
+/// rather than resolving the URL a second time.
 pub trait ContentProvider {
     /// Resolves one URL.
     fn resolve(&self, url: &Url) -> ProviderResult;
@@ -54,6 +58,10 @@ pub struct SimNetwork<P> {
     max_redirects: u32,
     /// Fixed per-request overhead (DNS + TCP + TLS handshakes).
     connect_overhead_ms: u64,
+    /// The final URL and post-fetch failure of the last document served,
+    /// so the probe that follows a top-level fetch needs no second
+    /// `resolve` (which would regenerate the whole page).
+    last_served: Option<(Url, Option<FetchError>)>,
 }
 
 impl<P: ContentProvider> SimNetwork<P> {
@@ -63,6 +71,7 @@ impl<P: ContentProvider> SimNetwork<P> {
             provider,
             max_redirects: 5,
             connect_overhead_ms: 35,
+            last_served: None,
         }
     }
 
@@ -84,6 +93,7 @@ impl<P: ContentProvider> Network for SimNetwork<P> {
                     behavior,
                 } => {
                     clock.advance(behavior.latency_ms);
+                    self.last_served = Some((current.clone(), behavior.post_fetch_failure));
                     response.final_url = current;
                     response.redirects = redirects;
                     return Ok(response);
@@ -102,6 +112,11 @@ impl<P: ContentProvider> Network for SimNetwork<P> {
     }
 
     fn post_fetch_failure(&self, url: &Url) -> Option<FetchError> {
+        if let Some((served, failure)) = &self.last_served {
+            if served == url {
+                return *failure;
+            }
+        }
         match self.provider.resolve(url) {
             ProviderResult::Content { behavior, .. } => behavior.post_fetch_failure,
             _ => None,
@@ -112,6 +127,99 @@ impl<P: ContentProvider> Network for SimNetwork<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    /// Serves `/` of every host with a host-dependent post-fetch failure,
+    /// redirects `/old` to `/`, and counts resolves.
+    struct Counting(Cell<u32>);
+
+    impl ContentProvider for Counting {
+        fn resolve(&self, url: &Url) -> ProviderResult {
+            self.0.set(self.0.get() + 1);
+            if url.path() == "/old" {
+                let target = format!("https://{}/", url.host().unwrap());
+                return ProviderResult::Redirect(Url::parse(&target).unwrap());
+            }
+            let post_fetch_failure = match url.host() {
+                Some("crash.example") => Some(FetchError::CrawlerCrash),
+                Some("ephemeral.example") => Some(FetchError::EphemeralContext),
+                _ => None,
+            };
+            ProviderResult::Content {
+                response: Response::html(url.clone(), "<p>x</p>"),
+                behavior: SiteBehavior {
+                    latency_ms: 10,
+                    post_fetch_failure,
+                },
+            }
+        }
+    }
+
+    #[test]
+    fn probe_of_the_served_document_costs_no_resolve() {
+        let mut net = SimNetwork::new(Counting(Cell::new(0)));
+        let mut clock = SimClock::new();
+        for host in ["crash.example", "ephemeral.example", "ok.example"] {
+            let url = Url::parse(&format!("https://{host}/")).unwrap();
+            let response = net.fetch(&url, &mut clock).unwrap();
+            let resolves = net.provider().0.get();
+            let probed = net.post_fetch_failure(&response.final_url);
+            assert_eq!(net.provider().0.get(), resolves, "{host}");
+            let expected = match net.provider().resolve(&url) {
+                ProviderResult::Content { behavior, .. } => behavior.post_fetch_failure,
+                _ => unreachable!(),
+            };
+            assert_eq!(probed, expected, "{host}");
+        }
+    }
+
+    #[test]
+    fn probe_after_a_redirect_chain_costs_no_resolve() {
+        let mut net = SimNetwork::new(Counting(Cell::new(0)));
+        let mut clock = SimClock::new();
+        let url = Url::parse("https://crash.example/old").unwrap();
+        let response = net.fetch(&url, &mut clock).unwrap();
+        assert_eq!(response.redirects, 1);
+        assert_eq!(net.provider().0.get(), 2);
+        assert_eq!(
+            net.post_fetch_failure(&response.final_url),
+            Some(FetchError::CrawlerCrash)
+        );
+        assert_eq!(net.provider().0.get(), 2);
+    }
+
+    #[test]
+    fn probe_of_another_url_falls_back_to_resolve() {
+        let mut net = SimNetwork::new(Counting(Cell::new(0)));
+        let mut clock = SimClock::new();
+        // Nothing served yet.
+        let crash = Url::parse("https://crash.example/").unwrap();
+        assert_eq!(
+            net.post_fetch_failure(&crash),
+            Some(FetchError::CrawlerCrash)
+        );
+        assert_eq!(net.provider().0.get(), 1);
+        // Something else served last.
+        net.fetch(&Url::parse("https://ok.example/").unwrap(), &mut clock)
+            .unwrap();
+        assert_eq!(net.provider().0.get(), 2);
+        let ephemeral = Url::parse("https://ephemeral.example/").unwrap();
+        assert_eq!(
+            net.post_fetch_failure(&ephemeral),
+            Some(FetchError::EphemeralContext)
+        );
+        assert_eq!(
+            net.post_fetch_failure(&crash),
+            Some(FetchError::CrawlerCrash)
+        );
+        assert_eq!(net.provider().0.get(), 4);
+        // The redirecting URL itself is not the served document.
+        assert_eq!(
+            net.post_fetch_failure(&Url::parse("https://ok.example/old").unwrap()),
+            None
+        );
+        assert_eq!(net.provider().0.get(), 5);
+    }
 
     struct Loop;
 

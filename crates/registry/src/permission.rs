@@ -153,7 +153,26 @@ pub(crate) const ALL: &[Permission] = &[
     Permission::ChUaWow64,
 ];
 
+// Permission sets are `u128` bitsets indexed by discriminant (see
+// [`Permission::bit`]): every discriminant must fit, and `ALL` must list
+// the variants in discriminant order so iterating it walks the bits in
+// registry order.
+const _: () = {
+    assert!(ALL.len() <= 128);
+    let mut i = 0;
+    while i < ALL.len() {
+        assert!(ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
 impl Permission {
+    /// This permission's bit in a `u128` permission set: bit `n` for the
+    /// variant with discriminant `n` (its index in registry order).
+    pub const fn bit(self) -> u128 {
+        1 << self as u32
+    }
+
     /// The spec token, as it appears in headers and `allow` attributes
     /// (e.g. `"picture-in-picture"`).
     pub fn token(&self) -> &'static str {
@@ -468,6 +487,17 @@ impl std::error::Error for UnknownPermission {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bits_are_distinct_and_follow_registry_order() {
+        let mut seen = 0u128;
+        for (i, p) in ALL.iter().enumerate() {
+            assert_eq!(p.bit(), 1u128 << i, "{}", p.token());
+            assert_eq!(seen & p.bit(), 0);
+            seen |= p.bit();
+        }
+        assert_eq!(seen.count_ones() as usize, ALL.len());
+    }
 
     #[test]
     fn tokens_are_unique() {

@@ -14,48 +14,115 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The hash state of one site, optionally advanced over a salt prefix.
+///
+/// `h(seed, rank, salt)` starts from the `(seed, rank)` state and feeds
+/// the salt one byte at a time, so a state fed a shared prefix once
+/// (`"incl-"`, `"iframe-youtube-"`) can be copied and finished with each
+/// suffix: `SiteHash::new(seed, rank).feed("incl-").feed(key)` is exactly
+/// `h(seed, rank, &format!("incl-{key}"))`, without building the salt.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SiteHash(u64);
+
+impl SiteHash {
+    /// The state of site `rank` in the population seeded with `seed`.
+    pub fn new(seed: u64, rank: u64) -> SiteHash {
+        SiteHash(mix64(mix64(seed ^ 0xd6e8_feb8_6659_fd93) ^ rank))
+    }
+
+    /// The state after feeding `salt`.
+    #[must_use]
+    pub fn feed(self, salt: &str) -> SiteHash {
+        self.feed_bytes(salt.as_bytes())
+    }
+
+    /// The state after feeding `n` in decimal, as `format!("{n}")` spells it.
+    #[must_use]
+    pub fn feed_u64(self, mut n: u64) -> SiteHash {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.feed_bytes(&digits[start..])
+    }
+
+    fn feed_bytes(self, bytes: &[u8]) -> SiteHash {
+        SiteHash(
+            bytes
+                .iter()
+                .fold(self.0, |acc, &b| mix64(acc ^ u64::from(b))),
+        )
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+
+    /// A uniform draw in `[0, 1)`.
+    pub fn unit(self) -> f64 {
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Bernoulli draw with probability `p`.
+    pub fn chance(self, p: f64) -> bool {
+        self.unit() < p
+    }
+
+    /// Picks an index by cumulative weights.
+    pub fn pick_weighted(self, weights: &[f64]) -> usize {
+        let total: f64 = weights.iter().sum();
+        if total <= 0.0 {
+            return 0;
+        }
+        let mut x = self.unit() * total;
+        for (i, w) in weights.iter().enumerate() {
+            if x < *w {
+                return i;
+            }
+            x -= w;
+        }
+        weights.len() - 1
+    }
+
+    /// Uniform integer in `[0, n)`.
+    pub fn pick(self, n: usize) -> usize {
+        if n == 0 {
+            return 0;
+        }
+        (self.0 % n as u64) as usize
+    }
+}
+
 /// Hashes `(seed, rank, salt)` into a u64.
 pub fn h(seed: u64, rank: u64, salt: &str) -> u64 {
-    let mut acc = mix64(seed ^ 0xd6e8_feb8_6659_fd93);
-    acc = mix64(acc ^ rank);
-    for &b in salt.as_bytes() {
-        acc = mix64(acc ^ u64::from(b));
-    }
-    acc
+    SiteHash::new(seed, rank).feed(salt).finish()
 }
 
 /// A uniform draw in `[0, 1)` from a hash.
 pub fn unit(seed: u64, rank: u64, salt: &str) -> f64 {
-    (h(seed, rank, salt) >> 11) as f64 / (1u64 << 53) as f64
+    SiteHash::new(seed, rank).feed(salt).unit()
 }
 
 /// Bernoulli draw with probability `p`.
 pub fn chance(seed: u64, rank: u64, salt: &str, p: f64) -> bool {
-    unit(seed, rank, salt) < p
+    SiteHash::new(seed, rank).feed(salt).chance(p)
 }
 
 /// Picks an index by cumulative weights.
 pub fn pick_weighted(seed: u64, rank: u64, salt: &str, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return 0;
-    }
-    let mut x = unit(seed, rank, salt) * total;
-    for (i, w) in weights.iter().enumerate() {
-        if x < *w {
-            return i;
-        }
-        x -= w;
-    }
-    weights.len() - 1
+    SiteHash::new(seed, rank).feed(salt).pick_weighted(weights)
 }
 
 /// Uniform integer in `[0, n)`.
 pub fn pick(seed: u64, rank: u64, salt: &str, n: usize) -> usize {
-    if n == 0 {
-        return 0;
-    }
-    (h(seed, rank, salt) % n as u64) as usize
+    SiteHash::new(seed, rank).feed(salt).pick(n)
 }
 
 #[cfg(test)]
@@ -95,6 +162,29 @@ mod tests {
             .count();
         let freq = zero as f64 / n as f64;
         assert!((freq - 0.8).abs() < 0.02, "freq = {freq}");
+    }
+
+    #[test]
+    fn prefix_states_match_whole_salts() {
+        // The pre-state-refactor definition, kept as the reference.
+        fn reference(seed: u64, rank: u64, salt: &str) -> u64 {
+            let mut acc = mix64(seed ^ 0xd6e8_feb8_6659_fd93);
+            acc = mix64(acc ^ rank);
+            for &b in salt.as_bytes() {
+                acc = mix64(acc ^ u64::from(b));
+            }
+            acc
+        }
+        for rank in [0u64, 1, 77, u64::MAX] {
+            let site = SiteHash::new(3, rank);
+            assert_eq!(site.finish(), reference(3, rank, ""));
+            for n in [0u64, 7, 10, 4_711, u64::MAX] {
+                let salt = format!("iframe-youtube-{n}");
+                let fed = site.feed("iframe-").feed("youtube").feed("-").feed_u64(n);
+                assert_eq!(fed.finish(), reference(3, rank, &salt), "{salt}");
+                assert_eq!(h(3, rank, &salt), reference(3, rank, &salt), "{salt}");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   (unrecognized tokens, unquoted URLs, contradictory members, origin
 //!   lists without `self`).
 
-use crate::hashing::{chance, pick, pick_weighted, unit};
+use crate::hashing::{chance, pick, pick_weighted, unit, SiteHash};
 
 /// P(top-level site sends a Permissions-Policy header).
 pub const PP_HEADER_RATE: f64 = 0.045;
@@ -93,15 +93,9 @@ fn broken_header(seed: u64, rank: u64) -> String {
 
 /// Allowlist value for one directive in a custom header, following the
 /// Table 9 least-restrictive mix. May inject a semantic misconfiguration.
-fn directive_value(
-    seed: u64,
-    rank: u64,
-    feature: &str,
-    misconfigure: bool,
-    origin_host: &str,
-) -> String {
+fn directive_value(site: SiteHash, feature: &str, misconfigure: bool, origin_host: &str) -> String {
     if misconfigure {
-        return match pick(seed, rank, &format!("pp-miscfg-kind-{feature}"), 5) {
+        return match site.feed("pp-miscfg-kind-").feed(feature).pick(5) {
             0 => "(none)".to_string(),                    // unrecognized token
             1 => "(0)".to_string(),                       // numeric junk
             2 => format!("(self https://{origin_host})"), // unquoted URL
@@ -109,14 +103,13 @@ fn directive_value(
             _ => format!("(\"https://{origin_host}\")"),  // origins w/o self
         };
     }
-    match pick_weighted(
-        seed,
-        rank,
-        &format!("pp-dir-{feature}"),
-        // disable / self / star / origin-with-self — tuned so the
-        // template+custom aggregate lands at Table 9's 83.5/9.7/6.0 mix.
-        &[0.55, 0.30, 0.13, 0.02],
-    ) {
+    // disable / self / star / origin-with-self — tuned so the
+    // template+custom aggregate lands at Table 9's 83.5/9.7/6.0 mix.
+    match site
+        .feed("pp-dir-")
+        .feed(feature)
+        .pick_weighted(&[0.55, 0.30, 0.13, 0.02])
+    {
         0 => "()".to_string(),
         1 => "(self)".to_string(),
         2 => "*".to_string(),
@@ -143,16 +136,12 @@ pub fn permissions_policy_header(seed: u64, rank: u64, widget_host: &str) -> Str
             let offset = pick(seed, rank, "pp-off", POOL.len());
             let misconfigured = chance(seed, rank, "pp-semantic-bad", 0.134);
             let bad_index = pick(seed, rank, "pp-semantic-idx", count);
+            let site = SiteHash::new(seed, rank);
             let mut directives = Vec::with_capacity(count);
             for i in 0..count {
                 let feature = POOL[(offset + i) % POOL.len()];
-                let value = directive_value(
-                    seed,
-                    rank,
-                    feature,
-                    misconfigured && i == bad_index,
-                    widget_host,
-                );
+                let value =
+                    directive_value(site, feature, misconfigured && i == bad_index, widget_host);
                 directives.push(format!("{feature}={value}"));
             }
             // A sliver of custom headers also use an unknown feature name.

@@ -346,6 +346,58 @@ mod tests {
         assert_ne!(r.final_url.host(), origin.host());
     }
 
+    /// The network answers the post-fetch probe of a landing page from
+    /// the fetch that served it; the answer must be the one a fresh
+    /// `resolve` of the final URL gives, for every kind of rank.
+    #[test]
+    fn memoized_probe_matches_resolve() {
+        struct Counting<'a>(&'a WebPopulation, std::cell::Cell<u64>);
+        impl ContentProvider for Counting<'_> {
+            fn resolve(&self, url: &Url) -> ProviderResult {
+                self.1.set(self.1.get() + 1);
+                self.0.resolve(url)
+            }
+        }
+        let pop = population();
+        let mut seen = std::collections::BTreeMap::new();
+        for rank in 1..=5_000u64 {
+            let class = site::failure_class(7, rank);
+            *seen.entry(format!("{class:?}")).or_insert(0) += 1;
+            if site::redirects(7, rank) {
+                *seen.entry("redirect".to_string()).or_insert(0) += 1;
+            }
+            let mut net = SimNetwork::new(Counting(&pop, Default::default()));
+            let mut clock = SimClock::new();
+            let Ok(response) = net.fetch(&pop.origin(rank), &mut clock) else {
+                assert_eq!(class, FailureClass::Dns, "rank {rank}");
+                continue;
+            };
+            let resolves = net.provider().1.get();
+            let probed = net.post_fetch_failure(&response.final_url);
+            assert_eq!(net.provider().1.get(), resolves, "rank {rank}");
+            let resolved = match pop.resolve(&response.final_url) {
+                ProviderResult::Content { behavior, .. } => behavior.post_fetch_failure,
+                _ => None,
+            };
+            assert_eq!(probed, resolved, "rank {rank}");
+            assert_eq!(probed, site::post_fetch_failure(7, rank), "rank {rank}");
+        }
+        for kind in [
+            "Dns",
+            "Slow",
+            "Ephemeral",
+            "Crash",
+            "Heavy",
+            "None",
+            "redirect",
+        ] {
+            assert!(
+                seen.get(kind).copied().unwrap_or(0) > 0,
+                "no {kind} rank: {seen:?}"
+            );
+        }
+    }
+
     #[test]
     fn deterministic_across_instances() {
         let a = population();

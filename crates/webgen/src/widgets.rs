@@ -13,7 +13,7 @@
 //! delegated permissions (e.g. 92% of Facebook embeds do, which leaves
 //! the paper's ~1.4k over-permissioned ones).
 
-use crate::hashing::chance;
+use crate::hashing::SiteHash;
 use crate::scripts;
 
 /// Functional category (mirrors the §4.2.1 grouping).
@@ -221,13 +221,11 @@ pub fn widget_by_key(key: &str) -> Option<&'static Widget> {
 /// rank)`: the `usage_rate` split decides whether this embed's frame
 /// exhibits functionality for the delegated permissions.
 pub fn frame_html(widget: &Widget, seed: u64, rank: u64) -> String {
-    let uses = chance(
-        seed,
-        rank,
-        &format!("use-{}", widget.key),
-        widget.usage_rate,
-    );
-    let mut body = String::new();
+    let site = SiteHash::new(seed, rank);
+    // Per-widget draws are salted `<prefix>-<widget key>`.
+    let keyed = |prefix: &str| site.feed(prefix).feed("-").feed(widget.key);
+    let uses = keyed("use").chance(widget.usage_rate);
+    let mut body = String::from("<!DOCTYPE html><html><body>\n");
     let mut push_script = |code: &str| {
         body.push_str("<script>");
         body.push_str(code);
@@ -238,32 +236,32 @@ pub fn frame_html(widget: &Widget, seed: u64, rank: u64) -> String {
             // A share of ad creatives is rendered entirely by a script
             // from another ad network (third-party *to the frame*) — the
             // source of the paper's 26% third-party embedded activity.
-            let third_party_only = chance(seed, rank, &format!("ad3ponly-{}", widget.key), 0.35);
+            let third_party_only = keyed("ad3ponly").chance(0.35);
             if third_party_only {
                 body.push_str(
                     "<script src=\"https://ad.doubleclick.net/static/render.js\"></script>\n",
                 );
             } else {
-                if chance(seed, rank, &format!("adgen-{}", widget.key), 0.12) {
+                if keyed("adgen").chance(0.12) {
                     push_script(&scripts::general_check_feature_policy(
                         "attribution-reporting",
                     ));
                 }
-                if chance(seed, rank, &format!("adtopics-{}", widget.key), 0.12) {
+                if keyed("adtopics").chance(0.12) {
                     push_script(&scripts::browsing_topics());
                 }
-                if uses && chance(seed, rank, &format!("adauction-{}", widget.key), 0.03) {
+                if uses && keyed("adauction").chance(0.03) {
                     push_script(
                         "var auctionOk = document.featurePolicy.allowsFeature('run-ad-auction');\n",
                     );
                 }
-                if chance(seed, rank, &format!("adbattery-{}", widget.key), 0.25) {
+                if keyed("adbattery").chance(0.25) {
                     push_script(&scripts::battery(false));
                 }
-                if chance(seed, rank, &format!("adsa-{}", widget.key), 0.5) {
+                if keyed("adsa").chance(0.5) {
                     push_script(&scripts::dead_code(&scripts::storage_access()));
                 }
-                if chance(seed, rank, &format!("nested3p-{}", widget.key), 0.15) {
+                if keyed("nested3p").chance(0.15) {
                     body.push_str(
                         "<script src=\"https://ad.doubleclick.net/static/render.js\"></script>\n",
                     );
@@ -277,34 +275,32 @@ pub fn frame_html(widget: &Widget, seed: u64, rank: u64) -> String {
             // Players: the bundle always carries share/clipboard/DRM code
             // (static); DRM initializes dynamically on a fraction of
             // embeds, the rest idles until playback.
-            if chance(seed, rank, &format!("socgen-{}", widget.key), 0.30) {
+            if keyed("socgen").chance(0.30) {
                 push_script(&scripts::general_check_feature_policy("autoplay"));
             }
             if uses {
                 push_script(&scripts::click_gated(&scripts::clipboard_share_handler()));
-                if chance(seed, rank, &format!("shr-{}", widget.key), 0.55)
-                    && widget.allow_template.contains("web-share")
-                {
+                if keyed("shr").chance(0.55) && widget.allow_template.contains("web-share") {
                     push_script(&scripts::click_gated(&scripts::web_share_handler()));
                 } else if widget.allow_template.contains("web-share") {
                     push_script(&scripts::dead_code(&scripts::web_share_handler()));
                 }
                 // DRM code ships only in players that delegate it.
                 if widget.allow_template.contains("encrypted-media") {
-                    if chance(seed, rank, &format!("drm-{}", widget.key), 0.28) {
+                    if keyed("drm").chance(0.28) {
                         push_script(&scripts::encrypted_media());
                     } else {
                         push_script(&scripts::dead_code(&scripts::encrypted_media()));
                     }
                 }
                 if widget.key == "facebook" {
-                    if chance(seed, rank, "fbsa", 0.55) {
+                    if site.feed("fbsa").chance(0.55) {
                         push_script(&scripts::storage_access());
                     } else {
                         push_script(&scripts::dead_code(&scripts::storage_access()));
                     }
                 }
-                if chance(seed, rank, "pip", 0.2) {
+                if site.feed("pip").chance(0.2) {
                     push_script(&scripts::dead_code(&scripts::picture_in_picture()));
                 }
             } else {
@@ -314,7 +310,7 @@ pub fn frame_html(widget: &Widget, seed: u64, rank: u64) -> String {
         WidgetCategory::Support => {
             if uses {
                 // Video-call widgets that really use capture (whereby).
-                if chance(seed, rank, "vc-query", 0.3) {
+                if site.feed("vc-query").chance(0.3) {
                     push_script(&scripts::permissions_query("microphone"));
                     push_script(&scripts::permissions_query("camera"));
                 }
@@ -367,19 +363,19 @@ pub fn frame_html(widget: &Widget, seed: u64, rank: u64) -> String {
                 "google" => {
                     // Sign-in embeds (the delegated ones) check their FedCM
                     // entitlements; plain embeds mostly do nothing.
-                    let delegated = chance(seed, rank, "deleg-google", widget.delegation_rate);
-                    if delegated || chance(seed, rank, "ggen", 0.05) {
+                    let delegated = site.feed("deleg-google").chance(widget.delegation_rate);
+                    if delegated || site.feed("ggen").chance(0.05) {
                         push_script(
                             "var fedcm = document.permissionsPolicy.allowsFeature('identity-credentials-get');
                              var otp = document.permissionsPolicy.allowsFeature('otp-credentials');
 ",
                         );
                     }
-                    if uses && chance(seed, rank, "gmaps", 0.3) {
+                    if uses && site.feed("gmaps").chance(0.3) {
                         // Maps embeds carry geolocation handlers.
                         push_script(&scripts::click_gated(&scripts::geolocation_handler()));
                     }
-                    if uses && chance(seed, rank, "gsignin", 0.08) {
+                    if uses && site.feed("gsignin").chance(0.08) {
                         push_script(&scripts::publickey_credentials_get());
                         push_script(&scripts::storage_access());
                     }
@@ -388,7 +384,7 @@ pub fn frame_html(widget: &Widget, seed: u64, rank: u64) -> String {
                     // Metrica frames ship battery code but rarely run it
                     // on the landing snapshot.
                     push_script(&scripts::dead_code(&scripts::battery(false)));
-                    if chance(seed, rank, "yxgen", 0.25) {
+                    if site.feed("yxgen").chance(0.25) {
                         push_script(&scripts::general_check_feature_policy(
                             "attribution-reporting",
                         ));
@@ -404,7 +400,8 @@ pub fn frame_html(widget: &Widget, seed: u64, rank: u64) -> String {
             }
         }
     }
-    format!("<!DOCTYPE html><html><body>\n{body}</body></html>\n")
+    body.push_str("</body></html>\n");
+    body
 }
 
 #[cfg(test)]

@@ -14,12 +14,20 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The benchmark's tracer is its own cargo workspace over the crates'
+# public APIs, so nothing above compiles it; build it here so an API
+# change that breaks the benchmark fails CI rather than the next
+# benchmark run. Its build output goes under target/ with the rest.
+echo "==> benchmark tracer builds against the current crates"
+cargo build -q --release --manifest-path perfbench/tracer/Cargo.toml \
+    --target-dir target/perfbench-tracer
+
 echo "==> fuzz suites (hostile-input hardening)"
 cargo test -q -p html -p jsland -p policy --test proptests
 
 echo "==> hardened test pass (debug assertions + overflow checks)"
 RUSTFLAGS="-C debug-assertions -C overflow-checks" \
-    cargo test -q -p html -p jsland -p policy -p browser
+    cargo test -q -p html -p jsland -p policy -p browser -p webgen -p netsim
 
 echo "==> streaming equivalence at full scale (release, 20k sites)"
 cargo test -q --release --test streaming_equivalence
