@@ -998,9 +998,10 @@ impl ReplayBundle {
                     if let OutcomeRef::Content { headers, body, .. } = &exchange.outcome {
                         if !blobs.contains_key(headers) || !blobs.contains_key(body) {
                             return invalid(format!(
-                                "{}: manifest for rank {} references a blob missing \
-                                 from {}",
+                                "{}: manifest at byte {} (rank {}) references a blob \
+                                 missing from {}",
                                 manifests_path.display(),
+                                record.offset,
                                 manifest.rank,
                                 blobs_path.display()
                             ));
@@ -1161,9 +1162,10 @@ impl BundleStat {
                                 Some(len) => stat.referenced_bytes += len,
                                 None if mode == StreamMode::Strict => {
                                     return invalid(format!(
-                                        "{}: manifest for rank {} references a blob \
-                                         missing from {}",
+                                        "{}: manifest at byte {} (rank {}) references \
+                                         a blob missing from {}",
                                         manifests_path.display(),
+                                        record.offset,
                                         manifest.rank,
                                         blobs_path.display()
                                     ));
@@ -1372,6 +1374,140 @@ mod tests {
         let stat = BundleStat::scan(&dir, StreamMode::Lenient).unwrap();
         assert_eq!(stat.sites, 0);
         assert_eq!(stat.manifest_skips.skipped, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A finished two-site store: both sites share one header template,
+    /// each has its own body, so `blobs.bin` holds three blobs (headers,
+    /// rank 1's body, rank 2's body) and `manifests.bin` two manifests.
+    fn two_site_store(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("permodyssey-bundle-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = BundleMeta::for_crawl(&CrawlConfig::default(), 7, 2, false);
+        let recorder = BundleRecorder::create(&dir, &meta).unwrap();
+        for (rank, host) in [(1, "a"), (2, "b")] {
+            let url = format!("https://{host}.example/");
+            recorder
+                .submit(SiteBundle {
+                    rank,
+                    origin: url.clone(),
+                    synthesized: false,
+                    attempts: vec![VisitTape {
+                        exchanges: vec![Exchange {
+                            url: url.clone(),
+                            advance_ms: 155,
+                            outcome: ExchangeOutcome::Content {
+                                status: 200,
+                                headers: vec![(
+                                    "content-type".to_string(),
+                                    "text/html".to_string(),
+                                )],
+                                body: Bytes::from(format!("<html>{host}</html>")),
+                                final_url: url,
+                                redirects: 0,
+                            },
+                        }],
+                        probes: Vec::new(),
+                    }],
+                })
+                .unwrap();
+        }
+        recorder.finish().unwrap();
+        dir
+    }
+
+    /// A pack file's frames as `(offset, payload)` pairs.
+    fn frames(path: &Path) -> Vec<(usize, Vec<u8>)> {
+        let bytes = std::fs::read(path).unwrap();
+        let mut at = 8;
+        let mut out = Vec::new();
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            out.push((at, bytes[at + 8..at + 8 + len].to_vec()));
+            at += 8 + len;
+        }
+        out
+    }
+
+    /// Rewrites a pack file from payloads, each framed with a valid CRC.
+    fn write_pack(path: &Path, magic: [u8; 8], payloads: &[Vec<u8>]) {
+        let mut bytes = magic.to_vec();
+        for payload in payloads {
+            write_framed(&mut bytes, payload).unwrap();
+        }
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    /// Asserts a strict load fails naming `file` and `byte {offset}`.
+    fn assert_load_names(dir: &Path, file: &str, offset: usize) -> String {
+        let err = ReplayBundle::load(dir).unwrap_err().to_string();
+        assert!(
+            err.contains(&dir.join(file).display().to_string()),
+            "error names {file}: {err}"
+        );
+        assert!(
+            err.contains(&format!("byte {offset}")),
+            "error names byte {offset}: {err}"
+        );
+        err
+    }
+
+    #[test]
+    fn reframed_blob_with_changed_bytes_fails_its_digest() {
+        let dir = two_site_store("redigest");
+        let path = dir.join(BUNDLE_BLOBS_FILE);
+        let mut blobs = frames(&path);
+        let (offset, payload) = &mut blobs[1];
+        let offset = *offset;
+        let last = payload.len() - 1;
+        payload[last] ^= 0x20;
+        let payloads: Vec<Vec<u8>> = blobs.into_iter().map(|(_, p)| p).collect();
+        write_pack(&path, BLOB_MAGIC, &payloads);
+        let err = assert_load_names(&dir, BUNDLE_BLOBS_FILE, offset);
+        assert!(err.contains("does not hash to its stored digest"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn missing_referenced_blob_is_a_dangling_reference() {
+        let dir = two_site_store("dangling");
+        let path = dir.join(BUNDLE_BLOBS_FILE);
+        let mut blobs = frames(&path);
+        assert_eq!(blobs.len(), 3, "headers, body 1, body 2");
+        // Rank 2's body is the last blob: drop it.
+        blobs.pop();
+        let payloads: Vec<Vec<u8>> = blobs.into_iter().map(|(_, p)| p).collect();
+        write_pack(&path, BLOB_MAGIC, &payloads);
+        let rank2_offset = frames(&dir.join(BUNDLE_MANIFESTS_FILE))[1].0;
+        let err = assert_load_names(&dir, BUNDLE_MANIFESTS_FILE, rank2_offset);
+        assert!(err.contains("references a blob missing"), "{err}");
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn swapped_manifest_frames_are_a_rank_gap() {
+        let dir = two_site_store("swapped");
+        let path = dir.join(BUNDLE_MANIFESTS_FILE);
+        let mut manifests: Vec<Vec<u8>> = frames(&path).into_iter().map(|(_, p)| p).collect();
+        manifests.swap(0, 1);
+        write_pack(&path, MANIFEST_MAGIC, &manifests);
+        let err = assert_load_names(&dir, BUNDLE_MANIFESTS_FILE, 8);
+        assert!(err.contains("has rank 2 where 1 was expected"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn blob_frame_shorter_than_its_digest_is_rejected() {
+        let dir = two_site_store("short");
+        let path = dir.join(BUNDLE_BLOBS_FILE);
+        let offset = std::fs::metadata(&path).unwrap().len() as usize;
+        let mut payloads: Vec<Vec<u8>> = frames(&path).into_iter().map(|(_, p)| p).collect();
+        payloads.push(vec![0xAB; 15]);
+        write_pack(&path, BLOB_MAGIC, &payloads);
+        let err = assert_load_names(&dir, BUNDLE_BLOBS_FILE, offset);
+        assert!(err.contains("shorter than its digest"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
