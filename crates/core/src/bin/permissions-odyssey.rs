@@ -110,59 +110,20 @@ LIVE ANALYSIS: `crawl-job analyze` folds the analysis tables over a
   finishes, writing each snapshot under DIR/tables/. `analyze --follow
   --db DIR` is the same thing spelled from the analyze side.";
 
-/// The on-disk format a write-side command targets.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OutFormat {
-    Jsonl,
-    Columnar,
-}
-
 /// Resolves `--format`, falling back to the output file's extension
 /// (`.colsh` → columnar, anything else → JSONL).
-fn out_format(args: &[String], out: &std::path::Path) -> Result<OutFormat, String> {
+fn out_format(args: &[String], out: &std::path::Path) -> Result<crawler::DbFormat, String> {
     match flag(args, "--format").as_deref() {
-        Some("jsonl") => Ok(OutFormat::Jsonl),
-        Some("columnar") | Some("colsh") => Ok(OutFormat::Columnar),
+        Some("jsonl") => Ok(crawler::DbFormat::Jsonl),
+        Some("columnar") | Some("colsh") => Ok(crawler::DbFormat::Colsh),
         Some(other) => Err(format!("unknown format `{other}` (jsonl|columnar)")),
         None => Ok(
             if out.extension().and_then(|e| e.to_str()) == Some("colsh") {
-                OutFormat::Columnar
+                crawler::DbFormat::Colsh
             } else {
-                OutFormat::Jsonl
+                crawler::DbFormat::Jsonl
             },
         ),
-    }
-}
-
-/// One shard's record sink, in either database format.
-// One sink exists per shard, so the size gap between variants is moot.
-#[allow(clippy::large_enum_variant)]
-enum ShardSink {
-    Jsonl(std::io::BufWriter<std::fs::File>),
-    Colsh(crawler::ColshWriter),
-}
-
-impl ShardSink {
-    /// Appends one record. `line` is a caller-owned scratch buffer so
-    /// the JSONL hot path reuses one allocation across records.
-    fn push(&mut self, record: &crawler::SiteRecord, line: &mut String) -> std::io::Result<()> {
-        match self {
-            ShardSink::Jsonl(writer) => {
-                line.clear();
-                serde_json::to_string_into(record, line);
-                line.push('\n');
-                writer.write_all(line.as_bytes())
-            }
-            ShardSink::Colsh(writer) => writer.push(record),
-        }
-    }
-
-    /// Flushes buffers and (columnar) writes the END marker.
-    fn finish(self) -> std::io::Result<()> {
-        match self {
-            ShardSink::Jsonl(mut writer) => writer.flush(),
-            ShardSink::Colsh(writer) => writer.finish(),
-        }
     }
 }
 
@@ -248,39 +209,16 @@ fn cmd_crawl(args: &[String]) -> Result<(), String> {
     // With --resume, recover the ranks an interrupted run already
     // persisted (per shard), drop any torn tail, and append.
     let mut completed = std::collections::BTreeSet::new();
-    let mut writers: Vec<ShardSink> = Vec::with_capacity(shard_files.len());
+    let mut writers: Vec<crawler::ShardSink> = Vec::with_capacity(shard_files.len());
     for path in &shard_files {
-        let sink = match (format, resume && path.exists()) {
-            (OutFormat::Jsonl, true) => {
-                let state = crawler::resume_jsonl(path)
-                    .map_err(|e| format!("resuming from {}: {e}", path.display()))?;
-                completed.extend(state.completed);
-                let file = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| format!("opening {}: {e}", path.display()))?;
-                file.set_len(state.valid_len)
-                    .map_err(|e| format!("truncating {}: {e}", path.display()))?;
-                ShardSink::Jsonl(std::io::BufWriter::new(file))
-            }
-            (OutFormat::Jsonl, false) => {
-                let file = std::fs::File::create(path)
-                    .map_err(|e| format!("creating {}: {e}", path.display()))?;
-                ShardSink::Jsonl(std::io::BufWriter::new(file))
-            }
-            (OutFormat::Columnar, true) => {
-                let (state, append) = crawler::resume_colsh(path)
-                    .map_err(|e| format!("resuming from {}: {e}", path.display()))?;
-                completed.extend(state.completed);
-                let writer = crawler::ColshWriter::append(path, state.valid_len, append)
-                    .map_err(|e| format!("opening {}: {e}", path.display()))?;
-                ShardSink::Colsh(writer)
-            }
-            (OutFormat::Columnar, false) => {
-                let writer = crawler::ColshWriter::create(path)
-                    .map_err(|e| format!("creating {}: {e}", path.display()))?;
-                ShardSink::Colsh(writer)
-            }
+        let sink = if resume && path.exists() {
+            let (sink, done) = crawler::ShardSink::resume(path, format)
+                .map_err(|e| format!("resuming from {}: {e}", path.display()))?;
+            completed.extend(done);
+            sink
+        } else {
+            crawler::ShardSink::create(path, format)
+                .map_err(|e| format!("creating {}: {e}", path.display()))?
         };
         writers.push(sink);
     }
@@ -350,33 +288,29 @@ fn cmd_crawl(args: &[String]) -> Result<(), String> {
     let progress_every = (remaining / 10).max(1);
     let mut last_milestone = 0;
     // Stream records to disk as they complete (the paper's per-site
-    // persistence, Appendix A.2 C14).
+    // persistence, Appendix A.2 C14). Workers encode; this only appends.
     let mut write_error: Option<String> = None;
-    let mut line = String::new();
-    let sink = |record: crawler::SiteRecord| {
+    let sink = |rank: u64, prepared: crawler::Prepared| {
         if write_error.is_some() {
             return;
         }
-        let shard = crawler::shard_index(record.rank, writers.len());
-        if let Err(e) = writers[shard].push(&record, &mut line) {
+        let shard = crawler::shard_index(rank, writers.len());
+        if let Err(e) = writers[shard].append(prepared) {
             write_error = Some(format!("{}: {e}", shard_files[shard].display()));
         }
-        let snapshot = telemetry.snapshot();
-        let milestone = snapshot.completed() / progress_every;
+        let milestone = telemetry.completed() / progress_every;
         if milestone > last_milestone {
             last_milestone = milestone;
-            eprintln!("{}", snapshot.progress_line(remaining));
+            eprintln!("{}", telemetry.snapshot().progress_line(remaining));
         }
     };
-    let funnel = match (&replay, &population) {
-        (Some(bundle), _) => {
-            crawler.replay_streaming_observed(bundle, &completed, &telemetry, sink)
-        }
-        (None, Some(population)) => {
-            crawler.crawl_streaming_observed(population, &completed, &telemetry, sink)
-        }
+    let source = match (&replay, &population) {
+        (Some(bundle), _) => crawler::RankSource::Replay(bundle),
+        (None, Some(population)) => crawler::RankSource::Live(population),
         (None, None) => unreachable!("a live crawl always has a population"),
     };
+    let prepare = |record| crawler::Prepared::new(format, record);
+    let funnel = crawler.stream_prepared(source, &completed, &telemetry, &prepare, sink);
     for writer in writers {
         writer.finish().map_err(|e| e.to_string())?;
     }
@@ -842,23 +776,13 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let epoch: u64 = parse_flag(args, "--dict-epoch", crawler::DEFAULT_DICT_EPOCH_GROUPS)?;
     let stream = crawler::AnyRecordStream::open(&input, crawler::StreamMode::Strict)
         .map_err(|e| format!("opening {}: {e}", input.display()))?;
-    let mut sink = match format {
-        OutFormat::Jsonl => {
-            let file = std::fs::File::create(&out)
-                .map_err(|e| format!("creating {}: {e}", out.display()))?;
-            ShardSink::Jsonl(std::io::BufWriter::new(file))
-        }
-        OutFormat::Columnar => ShardSink::Colsh(
-            crawler::ColshWriter::create_grouped(&out, group)
-                .map_err(|e| format!("creating {}: {e}", out.display()))?
-                .with_dict_epoch_groups(epoch),
-        ),
-    };
-    let mut line = String::new();
+    let mut sink = crawler::ShardSink::create(&out, format)
+        .map_err(|e| format!("creating {}: {e}", out.display()))?
+        .with_colsh_layout(group, epoch);
     let mut records = 0u64;
     for record in stream {
         let record = record.map_err(|e| format!("reading {}: {e}", input.display()))?;
-        sink.push(&record, &mut line)
+        sink.append(crawler::Prepared::new(format, record))
             .map_err(|e| format!("writing {}: {e}", out.display()))?;
         records += 1;
     }

@@ -35,7 +35,9 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{File, OpenOptions};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -82,6 +84,31 @@ pub fn digest128(bytes: &[u8]) -> [u8; 16] {
     }
     hash.to_le_bytes()
 }
+
+/// Hashes a blob digest for the store's lookup tables. The digest is
+/// already an FNV-1a hash of the content, so a multiply-fold of its
+/// words spreads it over the table without SipHash's cost on every
+/// lookup.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0 ^ u64::from_le_bytes(word)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
+    }
+}
+
+type DigestState = BuildHasherDefault<DigestHasher>;
+type DigestMap<V> = HashMap<[u8; 16], V, DigestState>;
+type DigestSet = HashSet<[u8; 16], DigestState>;
 
 fn invalid<T>(message: String) -> std::io::Result<T> {
     Err(std::io::Error::new(
@@ -548,10 +575,27 @@ fn decode_headers(bytes: &[u8]) -> Result<Vec<(String, String)>, String> {
 
 // --- framed pack files ----------------------------------------------------
 
-/// One scanned record: payload plus its start offset in the file.
+/// One scanned record: where its frame starts in the file, and where its
+/// payload lies in the file buffer.
 struct Framed {
     offset: u64,
-    payload: Vec<u8>,
+    payload: Range<usize>,
+}
+
+/// A pack file read into memory once, with its valid records located.
+#[derive(Default)]
+struct Pack {
+    bytes: Vec<u8>,
+    records: Vec<Framed>,
+    report: SkipReport,
+    /// Length of the valid prefix (where an append resumes).
+    valid_len: u64,
+}
+
+impl Pack {
+    fn payload(&self, record: &Framed) -> &[u8] {
+        &self.bytes[record.payload.clone()]
+    }
 }
 
 /// Reads a CRC-framed pack file. `Strict` makes any damage (bad magic,
@@ -560,11 +604,7 @@ struct Framed {
 /// them, flagging a torn tail; `Resume` stops cleanly at the first
 /// damage and reports `valid_len` — the truncation point an append
 /// resumes from.
-fn read_pack(
-    path: &Path,
-    magic: [u8; 8],
-    mode: StreamMode,
-) -> std::io::Result<(Vec<Framed>, SkipReport, u64)> {
+fn read_pack(path: &Path, magic: [u8; 8], mode: StreamMode) -> std::io::Result<Pack> {
     let bytes = std::fs::read(path)?;
     let name = path.display();
     let mut report = SkipReport::default();
@@ -574,7 +614,11 @@ fn read_pack(
             StreamMode::Strict => invalid(format!("{name}: missing or wrong pack magic")),
             _ => {
                 report.torn_tail = true;
-                Ok((records, report, 0))
+                Ok(Pack {
+                    bytes,
+                    report,
+                    ..Pack::default()
+                })
             }
         };
     }
@@ -601,8 +645,7 @@ fn read_pack(
             }
         };
         let expected = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-        let payload = &bytes[header_end..end];
-        if crc32(payload) != expected {
+        if crc32(&bytes[header_end..end]) != expected {
             match mode {
                 StreamMode::Strict => {
                     return invalid(format!("{name}: checksum mismatch at byte {at}"));
@@ -619,12 +662,17 @@ fn read_pack(
         }
         records.push(Framed {
             offset: at as u64,
-            payload: payload.to_vec(),
+            payload: header_end..end,
         });
         at = end;
         valid_len = at as u64;
     }
-    Ok((records, report, valid_len))
+    Ok(Pack {
+        bytes,
+        records,
+        report,
+        valid_len,
+    })
 }
 
 fn write_framed(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
@@ -661,17 +709,90 @@ impl SiteBundle {
     }
 }
 
+/// One site made ready to commit by the worker that submitted it: every
+/// content hash and the manifest encoding happen outside the recorder
+/// lock, leaving only the dedup check and the writes under it.
+struct PreparedSite {
+    rank: u64,
+    /// The site's blobs with their digests, in first-reference order
+    /// (per exchange: header template, then body).
+    blobs: Vec<([u8; 16], Bytes)>,
+    /// The manifest, framed (length, CRC, payload) for `manifests.bin`.
+    manifest_frame: Vec<u8>,
+}
+
+impl PreparedSite {
+    fn new(bundle: &SiteBundle) -> PreparedSite {
+        let mut blobs = Vec::new();
+        let mut attempts = Vec::with_capacity(bundle.attempts.len());
+        for tape in &bundle.attempts {
+            let mut exchanges = Vec::with_capacity(tape.exchanges.len());
+            for exchange in &tape.exchanges {
+                let outcome = match &exchange.outcome {
+                    ExchangeOutcome::Content {
+                        status,
+                        headers,
+                        body,
+                        final_url,
+                        redirects,
+                    } => {
+                        let mut blob = |bytes: Bytes| {
+                            let digest = digest128(&bytes);
+                            blobs.push((digest, bytes));
+                            digest
+                        };
+                        let headers = blob(Bytes::from(encode_headers(headers)));
+                        let body = blob(body.clone());
+                        OutcomeRef::Content {
+                            status: *status,
+                            headers,
+                            body,
+                            final_url: final_url.clone(),
+                            redirects: *redirects,
+                        }
+                    }
+                    ExchangeOutcome::Error(err) => OutcomeRef::Error(*err),
+                    ExchangeOutcome::Panic(message) => OutcomeRef::Panic(message.clone()),
+                };
+                exchanges.push(ExchangeRef {
+                    url: exchange.url.clone(),
+                    advance_ms: exchange.advance_ms,
+                    outcome,
+                });
+            }
+            attempts.push(AttemptRef {
+                exchanges,
+                probes: tape.probes.clone(),
+            });
+        }
+        let manifest = SiteManifest {
+            rank: bundle.rank,
+            origin: bundle.origin.clone(),
+            synthesized: bundle.synthesized,
+            attempts,
+        };
+        let mut manifest_frame = Vec::new();
+        write_framed(&mut manifest_frame, &manifest.encode())
+            .expect("writing to a Vec cannot fail");
+        PreparedSite {
+            rank: bundle.rank,
+            blobs,
+            manifest_frame,
+        }
+    }
+}
+
 struct RecorderInner {
     blobs: BufWriter<File>,
     manifests: BufWriter<File>,
     /// Digests already durable in `blobs.bin`.
-    index: HashSet<[u8; 16]>,
+    index: DigestSet,
     /// Next rank to commit; ranks below it are already durable.
     cursor: u64,
     /// Ranks durable in `manifests.bin` when the store was opened.
     durable_prefix: u64,
     /// Out-of-order submissions waiting for the cursor.
-    pending: BTreeMap<u64, SiteBundle>,
+    pending: BTreeMap<u64, PreparedSite>,
 }
 
 /// Append-side of a bundle store. Workers submit completed sites in any
@@ -706,7 +827,7 @@ impl BundleRecorder {
             inner: Mutex::new(RecorderInner {
                 blobs,
                 manifests,
-                index: HashSet::new(),
+                index: DigestSet::default(),
                 cursor: 1,
                 durable_prefix: 0,
                 pending: BTreeMap::new(),
@@ -734,27 +855,30 @@ impl BundleRecorder {
         }
         let blobs_path = dir.join(BUNDLE_BLOBS_FILE);
         let manifests_path = dir.join(BUNDLE_MANIFESTS_FILE);
-        let (blob_records, _, blobs_valid) = if blobs_path.exists() {
+        let blob_pack = if blobs_path.exists() {
             read_pack(&blobs_path, BLOB_MAGIC, StreamMode::Resume)?
         } else {
-            (Vec::new(), SkipReport::default(), 0)
+            Pack::default()
         };
-        let mut index = HashSet::new();
-        for record in &blob_records {
-            if record.payload.len() < 16 {
+        let blobs_valid = blob_pack.valid_len;
+        let mut index = DigestSet::default();
+        for record in &blob_pack.records {
+            let payload = blob_pack.payload(record);
+            if payload.len() < 16 {
                 break; // treat as damage: truncate here
             }
-            let digest: [u8; 16] = record.payload[..16].try_into().unwrap();
+            let digest: [u8; 16] = payload[..16].try_into().unwrap();
             index.insert(digest);
         }
-        let (manifest_records, _, mut manifests_valid) = if manifests_path.exists() {
+        let manifest_pack = if manifests_path.exists() {
             read_pack(&manifests_path, MANIFEST_MAGIC, StreamMode::Resume)?
         } else {
-            (Vec::new(), SkipReport::default(), 0)
+            Pack::default()
         };
+        let mut manifests_valid = manifest_pack.valid_len;
         let mut durable_prefix = 0u64;
-        for record in &manifest_records {
-            let Ok(manifest) = SiteManifest::decode(&record.payload) else {
+        for record in &manifest_pack.records {
+            let Ok(manifest) = SiteManifest::decode(manifest_pack.payload(record)) else {
                 manifests_valid = record.offset;
                 break;
             };
@@ -824,18 +948,19 @@ impl BundleRecorder {
 
     /// Submits one completed site. Sites may arrive in any order;
     /// commits happen strictly at the rank cursor. Re-submissions of
-    /// already-durable ranks are dropped.
+    /// already-durable ranks are dropped. The site's digests and its
+    /// manifest are computed on the calling thread, before the lock.
     pub fn submit(&self, bundle: SiteBundle) -> std::io::Result<()> {
+        let site = PreparedSite::new(&bundle);
+        drop(bundle);
         let mut inner = self.inner.lock().expect("recorder lock");
-        if bundle.rank < inner.cursor {
+        let inner = &mut *inner;
+        if site.rank < inner.cursor {
             return Ok(());
         }
-        inner.pending.insert(bundle.rank, bundle);
-        while let Some(bundle) = {
-            let next = inner.cursor;
-            inner.pending.remove(&next)
-        } {
-            commit_site(&mut inner, &bundle)?;
+        inner.pending.insert(site.rank, site);
+        while let Some(site) = inner.pending.remove(&inner.cursor) {
+            commit_site(inner, &site)?;
             inner.cursor += 1;
         }
         Ok(())
@@ -872,149 +997,86 @@ impl BundleRecorder {
     }
 }
 
-fn commit_site(inner: &mut RecorderInner, bundle: &SiteBundle) -> std::io::Result<()> {
-    let mut attempts = Vec::with_capacity(bundle.attempts.len());
-    for tape in &bundle.attempts {
-        let mut exchanges = Vec::with_capacity(tape.exchanges.len());
-        for exchange in &tape.exchanges {
-            let outcome = match &exchange.outcome {
-                ExchangeOutcome::Content {
-                    status,
-                    headers,
-                    body,
-                    final_url,
-                    redirects,
-                } => {
-                    let header_blob = encode_headers(headers);
-                    let headers = put_blob(inner, &header_blob)?;
-                    let body = put_blob(inner, body)?;
-                    OutcomeRef::Content {
-                        status: *status,
-                        headers,
-                        body,
-                        final_url: final_url.clone(),
-                        redirects: *redirects,
-                    }
-                }
-                ExchangeOutcome::Error(err) => OutcomeRef::Error(*err),
-                ExchangeOutcome::Panic(message) => OutcomeRef::Panic(message.clone()),
-            };
-            exchanges.push(ExchangeRef {
-                url: exchange.url.clone(),
-                advance_ms: exchange.advance_ms,
-                outcome,
-            });
+/// Appends one site at the rank cursor: its blobs not yet in the store,
+/// flushed before the manifest that references them (a manifest record
+/// is the site's commit point).
+fn commit_site(inner: &mut RecorderInner, site: &PreparedSite) -> std::io::Result<()> {
+    for (digest, bytes) in &site.blobs {
+        if inner.index.insert(*digest) {
+            let mut payload = Vec::with_capacity(16 + bytes.len());
+            payload.extend_from_slice(digest);
+            payload.extend_from_slice(bytes);
+            write_framed(&mut inner.blobs, &payload)?;
         }
-        attempts.push(AttemptRef {
-            exchanges,
-            probes: tape.probes.clone(),
-        });
     }
-    let manifest = SiteManifest {
-        rank: bundle.rank,
-        origin: bundle.origin.clone(),
-        synthesized: bundle.synthesized,
-        attempts,
-    };
-    // Blobs land (and flush) before the manifest referencing them: a
-    // manifest record is the site's commit point.
     inner.blobs.flush()?;
-    write_framed(&mut inner.manifests, &manifest.encode())
-}
-
-fn put_blob(inner: &mut RecorderInner, bytes: &[u8]) -> std::io::Result<[u8; 16]> {
-    let digest = digest128(bytes);
-    if inner.index.insert(digest) {
-        let mut payload = Vec::with_capacity(16 + bytes.len());
-        payload.extend_from_slice(&digest);
-        payload.extend_from_slice(bytes);
-        write_framed(&mut inner.blobs, &payload)?;
-    }
-    Ok(digest)
+    inner.manifests.write_all(&site.manifest_frame)
 }
 
 // --- replay ---------------------------------------------------------------
 
 /// A fully loaded bundle store, ready to serve visits.
+///
+/// Each pack file is read once. Blobs are zero-copy slices of the
+/// `blobs.bin` buffer. Manifests stay encoded in the `manifests.bin`
+/// buffer as validated byte ranges, and the worker replaying a rank
+/// decodes its manifest.
 #[derive(Debug)]
 pub struct ReplayBundle {
     meta: BundleMeta,
-    blobs: HashMap<[u8; 16], Bytes>,
-    manifests: BTreeMap<u64, SiteManifest>,
+    blobs: DigestMap<Bytes>,
+    /// The `manifests.bin` buffer.
+    manifest_file: Vec<u8>,
+    /// Rank `r`'s manifest payload in `manifest_file`, at index `r - 1`.
+    manifests: Vec<Range<usize>>,
 }
 
 impl ReplayBundle {
     /// Strict load: any damage — bad magic, checksum mismatch, torn
-    /// tail, rank gap, dangling blob reference — is a loud error naming
-    /// the file.
+    /// tail, a blob that does not hash to its digest, an undecodable
+    /// manifest, rank gap, dangling blob reference — is a loud error
+    /// naming the file and the byte offset. The two pack files are
+    /// verified on two threads; references are resolved once both are.
     pub fn load(dir: &Path) -> std::io::Result<ReplayBundle> {
         let meta = BundleMeta::load(dir)?;
         let blobs_path = dir.join(BUNDLE_BLOBS_FILE);
-        let (blob_records, _, _) = read_pack(&blobs_path, BLOB_MAGIC, StreamMode::Strict)?;
-        let mut blobs = HashMap::new();
-        for record in blob_records {
-            if record.payload.len() < 16 {
-                return invalid(format!(
-                    "{}: blob record at byte {} shorter than its digest",
-                    blobs_path.display(),
-                    record.offset
-                ));
-            }
-            let digest: [u8; 16] = record.payload[..16].try_into().unwrap();
-            if digest128(&record.payload[16..]) != digest {
-                return invalid(format!(
-                    "{}: blob at byte {} does not hash to its stored digest",
-                    blobs_path.display(),
-                    record.offset
-                ));
-            }
-            blobs.insert(digest, Bytes::copy_from_slice(&record.payload[16..]));
-        }
         let manifests_path = dir.join(BUNDLE_MANIFESTS_FILE);
-        let (records, _, _) = read_pack(&manifests_path, MANIFEST_MAGIC, StreamMode::Strict)?;
-        let mut manifests = BTreeMap::new();
-        for record in records {
-            let manifest = SiteManifest::decode(&record.payload).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "{}: bad site manifest at byte {}: {e}",
-                        manifests_path.display(),
-                        record.offset
-                    ),
-                )
-            })?;
-            let expected = manifests.len() as u64 + 1;
-            if manifest.rank != expected {
-                return invalid(format!(
-                    "{}: manifest at byte {} has rank {} where {expected} was expected",
-                    manifests_path.display(),
-                    record.offset,
-                    manifest.rank
-                ));
-            }
-            for attempt in &manifest.attempts {
-                for exchange in &attempt.exchanges {
-                    if let OutcomeRef::Content { headers, body, .. } = &exchange.outcome {
-                        if !blobs.contains_key(headers) || !blobs.contains_key(body) {
-                            return invalid(format!(
-                                "{}: manifest at byte {} (rank {}) references a blob \
-                                 missing from {}",
-                                manifests_path.display(),
-                                record.offset,
-                                manifest.rank,
-                                blobs_path.display()
-                            ));
-                        }
-                    }
-                }
-            }
-            manifests.insert(manifest.rank, manifest);
+        let (blobs, manifests) = std::thread::scope(|scope| {
+            let blobs = scope.spawn(|| load_blobs(&blobs_path));
+            let manifests = load_manifests(&manifests_path);
+            let blobs = blobs
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (blobs, manifests)
+        });
+        // Blob damage is reported first, as when the files loaded in turn.
+        let blobs = blobs?;
+        let manifests = manifests?;
+        // The first reference (in file order) to a missing blob.
+        let dangling = manifests
+            .references
+            .iter()
+            .filter(|(digest, _)| !blobs.contains_key(*digest))
+            .map(|(_, first)| first)
+            .min_by_key(|(offset, _)| *offset);
+        if let Some((offset, rank)) = dangling {
+            return invalid(format!(
+                "{}: manifest at byte {offset} (rank {rank}) references a blob \
+                 missing from {}",
+                manifests_path.display(),
+                blobs_path.display()
+            ));
         }
         Ok(ReplayBundle {
             meta,
             blobs,
-            manifests,
+            manifest_file: manifests.pack.bytes,
+            manifests: manifests
+                .pack
+                .records
+                .into_iter()
+                .map(|record| record.payload)
+                .collect(),
         })
     }
 
@@ -1028,47 +1090,136 @@ impl ReplayBundle {
         self.manifests.len() as u64
     }
 
-    /// One site's manifest, if recorded.
-    pub fn manifest(&self, rank: u64) -> Option<&SiteManifest> {
-        self.manifests.get(&rank)
+    /// One site's manifest, if recorded, decoded from the store.
+    pub fn manifest(&self, rank: u64) -> Option<SiteManifest> {
+        let index = usize::try_from(rank.checked_sub(1)?).ok()?;
+        let payload = &self.manifest_file[self.manifests.get(index)?.clone()];
+        Some(SiteManifest::decode(payload).expect("strict load decoded every manifest"))
     }
 
     /// Rebuilds the raw visit tape for one attempt of one rank.
     pub fn tape(&self, rank: u64, attempt: usize) -> Option<VisitTape> {
-        let manifest = self.manifests.get(&rank)?;
-        let attempt = manifest.attempts.get(attempt)?;
-        let mut tape = VisitTape::default();
-        for exchange in &attempt.exchanges {
-            let outcome = match &exchange.outcome {
-                OutcomeRef::Content {
-                    status,
-                    headers,
-                    body,
-                    final_url,
-                    redirects,
-                } => {
-                    let headers = decode_headers(&self.blobs[headers])
-                        .expect("strict load validated header blobs");
-                    ExchangeOutcome::Content {
-                        status: *status,
-                        headers,
-                        body: self.blobs[body].clone(),
-                        final_url: final_url.clone(),
-                        redirects: *redirects,
+        let manifest = self.manifest(rank)?;
+        self.tapes(manifest).into_iter().nth(attempt)
+    }
+
+    /// Rebuilds every attempt's raw visit tape from a decoded manifest of
+    /// this store, moving its strings into the tapes.
+    pub fn tapes(&self, manifest: SiteManifest) -> Vec<VisitTape> {
+        manifest
+            .attempts
+            .into_iter()
+            .map(|attempt| VisitTape {
+                exchanges: attempt
+                    .exchanges
+                    .into_iter()
+                    .map(|exchange| Exchange {
+                        url: exchange.url,
+                        advance_ms: exchange.advance_ms,
+                        outcome: match exchange.outcome {
+                            OutcomeRef::Content {
+                                status,
+                                headers,
+                                body,
+                                final_url,
+                                redirects,
+                            } => ExchangeOutcome::Content {
+                                status,
+                                headers: decode_headers(&self.blobs[&headers])
+                                    .expect("strict load verified every header blob's digest"),
+                                body: self.blobs[&body].clone(),
+                                final_url,
+                                redirects,
+                            },
+                            OutcomeRef::Error(err) => ExchangeOutcome::Error(err),
+                            OutcomeRef::Panic(message) => ExchangeOutcome::Panic(message),
+                        },
+                    })
+                    .collect(),
+                probes: attempt.probes,
+            })
+            .collect()
+    }
+}
+
+/// Strict-loads `blobs.bin`: frames and CRCs, then each blob's digest,
+/// keyed by digest as slices of the one file buffer.
+fn load_blobs(path: &Path) -> std::io::Result<DigestMap<Bytes>> {
+    let Pack { bytes, records, .. } = read_pack(path, BLOB_MAGIC, StreamMode::Strict)?;
+    let file = Bytes::from(bytes);
+    let mut blobs = DigestMap::with_capacity_and_hasher(records.len(), DigestState::default());
+    for record in records {
+        let payload = &file[record.payload.clone()];
+        if payload.len() < 16 {
+            return invalid(format!(
+                "{}: blob record at byte {} shorter than its digest",
+                path.display(),
+                record.offset
+            ));
+        }
+        let digest: [u8; 16] = payload[..16].try_into().unwrap();
+        if digest128(&payload[16..]) != digest {
+            return invalid(format!(
+                "{}: blob at byte {} does not hash to its stored digest",
+                path.display(),
+                record.offset
+            ));
+        }
+        blobs.insert(
+            digest,
+            file.slice(record.payload.start + 16..record.payload.end),
+        );
+    }
+    Ok(blobs)
+}
+
+/// `manifests.bin` after a strict load.
+struct LoadedManifests {
+    /// The file, with one record per rank in rank order.
+    pack: Pack,
+    /// Every blob digest the manifests reference, with the frame offset
+    /// and rank of the first manifest referencing it.
+    references: DigestMap<(u64, u64)>,
+}
+
+/// Strict-loads `manifests.bin`: frames and CRCs, canonical decode and
+/// contiguous ranks from 1, and the blob digests referenced.
+fn load_manifests(path: &Path) -> std::io::Result<LoadedManifests> {
+    let pack = read_pack(path, MANIFEST_MAGIC, StreamMode::Strict)?;
+    let mut references = DigestMap::default();
+    for (index, record) in pack.records.iter().enumerate() {
+        let manifest = SiteManifest::decode(pack.payload(record)).map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "{}: bad site manifest at byte {}: {e}",
+                    path.display(),
+                    record.offset
+                ),
+            )
+        })?;
+        let expected = index as u64 + 1;
+        if manifest.rank != expected {
+            return invalid(format!(
+                "{}: manifest at byte {} has rank {} where {expected} was expected",
+                path.display(),
+                record.offset,
+                manifest.rank
+            ));
+        }
+        for attempt in &manifest.attempts {
+            for exchange in &attempt.exchanges {
+                if let OutcomeRef::Content { headers, body, .. } = &exchange.outcome {
+                    for digest in [headers, body] {
+                        references
+                            .entry(*digest)
+                            .or_insert((record.offset, manifest.rank));
                     }
                 }
-                OutcomeRef::Error(err) => ExchangeOutcome::Error(*err),
-                OutcomeRef::Panic(message) => ExchangeOutcome::Panic(message.clone()),
-            };
-            tape.exchanges.push(Exchange {
-                url: exchange.url.clone(),
-                advance_ms: exchange.advance_ms,
-                outcome,
-            });
+            }
         }
-        tape.probes = attempt.probes.clone();
-        Some(tape)
     }
+    Ok(LoadedManifests { pack, references })
 }
 
 // --- stat -----------------------------------------------------------------
@@ -1106,11 +1257,12 @@ impl BundleStat {
         let mut stat = BundleStat::default();
         let blobs_path = dir.join(BUNDLE_BLOBS_FILE);
         let manifests_path = dir.join(BUNDLE_MANIFESTS_FILE);
-        let (blob_records, blob_skips, _) = read_pack(&blobs_path, BLOB_MAGIC, mode)?;
-        stat.blob_skips = blob_skips;
-        let mut sizes: HashMap<[u8; 16], u64> = HashMap::new();
-        for record in &blob_records {
-            if record.payload.len() < 16 {
+        let blob_pack = read_pack(&blobs_path, BLOB_MAGIC, mode)?;
+        stat.blob_skips = blob_pack.report.clone();
+        let mut sizes: DigestMap<u64> = DigestMap::default();
+        for record in &blob_pack.records {
+            let payload = blob_pack.payload(record);
+            if payload.len() < 16 {
                 match mode {
                     StreamMode::Strict => {
                         return invalid(format!(
@@ -1125,16 +1277,16 @@ impl BundleStat {
                     }
                 }
             }
-            let digest: [u8; 16] = record.payload[..16].try_into().unwrap();
-            let len = (record.payload.len() - 16) as u64;
+            let digest: [u8; 16] = payload[..16].try_into().unwrap();
+            let len = (payload.len() - 16) as u64;
             sizes.insert(digest, len);
             stat.stored_bytes += len;
         }
         stat.unique_blobs = sizes.len() as u64;
-        let (records, manifest_skips, _) = read_pack(&manifests_path, MANIFEST_MAGIC, mode)?;
-        stat.manifest_skips = manifest_skips;
-        for record in &records {
-            let manifest = match SiteManifest::decode(&record.payload) {
+        let manifest_pack = read_pack(&manifests_path, MANIFEST_MAGIC, mode)?;
+        stat.manifest_skips = manifest_pack.report.clone();
+        for record in &manifest_pack.records {
+            let manifest = match SiteManifest::decode(manifest_pack.payload(record)) {
                 Ok(manifest) => manifest,
                 Err(e) => match mode {
                     StreamMode::Strict => {

@@ -2,6 +2,26 @@
 
 use serde::{Deserialize, Serialize};
 
+/// One record's contribution to a funnel, kept when the record itself
+/// is encoded and dropped before it reaches the in-order writer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tally {
+    outcome: crate::run::SiteOutcome,
+    degraded: bool,
+}
+
+impl Tally {
+    pub(crate) fn of(record: &crate::run::SiteRecord) -> Tally {
+        Tally {
+            outcome: record.outcome,
+            degraded: record
+                .visit
+                .as_ref()
+                .is_some_and(|v| !v.degradations.is_empty()),
+        }
+    }
+}
+
 /// Counts of visit outcomes across a crawl, mirroring the numbers the
 /// paper reports at the top of §4.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,12 +66,13 @@ impl CrawlFunnel {
     /// Tallies one site record: its outcome class, plus the minor-error
     /// count when the visit degraded.
     pub fn count_record(&mut self, record: &crate::run::SiteRecord) {
-        self.count(record.outcome);
-        if record
-            .visit
-            .as_ref()
-            .is_some_and(|v| !v.degradations.is_empty())
-        {
+        self.count_tally(Tally::of(record));
+    }
+
+    /// Tallies a record's contribution taken before it was encoded.
+    pub(crate) fn count_tally(&mut self, tally: Tally) {
+        self.count(tally.outcome);
+        if tally.degraded {
             self.minor_errors += 1;
         }
     }

@@ -51,8 +51,6 @@
 //! uninterrupted shard files byte for byte.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -63,10 +61,11 @@ use serde::{Deserialize, Serialize};
 use webgen::{PopulationConfig, WebPopulation};
 
 use crate::bundle::{BundleMeta, BundleRecorder, SiteBundle};
-use crate::colsh::{crc32, ColshWriter};
+use crate::colsh::crc32;
 use crate::db::{shard_index, shard_path, DbFormat, StreamMode};
-use crate::funnel::CrawlFunnel;
+use crate::funnel::{CrawlFunnel, Tally};
 use crate::run::{CrawlConfig, Crawler, SiteOutcome, SiteRecord};
+use crate::shard::{Prepared, ShardSink};
 use crate::telemetry::{CrawlTelemetry, TelemetrySnapshot};
 
 /// Manifest schema version.
@@ -563,57 +562,10 @@ pub fn job_resume(dir: &Path, opts: &JobOptions) -> Result<JobReport, JobError> 
     run_job(dir, &manifest, opts, true)
 }
 
-/// One shard's record sink, in either database format, with a durable
-/// record count.
-// One sink exists per shard, so the size gap between variants is moot.
-#[allow(clippy::large_enum_variant)]
-enum Sink {
-    Jsonl { out: BufWriter<File>, records: u64 },
-    Colsh(ColshWriter),
-}
-
-impl Sink {
-    fn push(&mut self, record: &SiteRecord, line: &mut String) -> std::io::Result<()> {
-        match self {
-            Sink::Jsonl { out, records } => {
-                line.clear();
-                serde_json::to_string_into(record, line);
-                line.push('\n');
-                out.write_all(line.as_bytes())?;
-                *records += 1;
-                Ok(())
-            }
-            Sink::Colsh(writer) => writer.push(record),
-        }
-    }
-
-    /// Completes the shard (flushes everything; columnar writes END).
-    fn finish(self) -> std::io::Result<()> {
-        match self {
-            Sink::Jsonl { mut out, .. } => out.flush(),
-            Sink::Colsh(writer) => writer.finish(),
-        }
-    }
-
-    /// Graceful-shutdown checkpoint: flushes to a clean resume point
-    /// and returns how many records are durable in the file. JSONL
-    /// loses nothing; columnar drops a partial tail row group so the
-    /// resumed file stays byte-identical to an uninterrupted one.
-    fn finish_checkpoint(self) -> std::io::Result<u64> {
-        match self {
-            Sink::Jsonl { mut out, records } => {
-                out.flush()?;
-                Ok(records)
-            }
-            Sink::Colsh(writer) => writer.finish_checkpoint(),
-        }
-    }
-}
-
 /// Scan result for one shard: an open, appendable sink plus the number
 /// of this shard's leading ranks already durable.
 struct ShardScan {
-    sink: Sink,
+    sink: ShardSink,
     completed: u64,
 }
 
@@ -627,51 +579,22 @@ fn scan_shard(
     shard: usize,
     resume: bool,
 ) -> std::io::Result<ShardScan> {
-    let fresh = !(resume && path.exists());
     let group = opts
         .colsh_group_records
         .unwrap_or(crate::colsh::DEFAULT_GROUP_RECORDS);
     let epoch = opts
         .colsh_dict_epoch_groups
         .unwrap_or(crate::colsh::DEFAULT_DICT_EPOCH_GROUPS);
-    if fresh {
-        let sink = match manifest.format {
-            DbFormat::Jsonl => Sink::Jsonl {
-                out: BufWriter::new(File::create(path)?),
-                records: 0,
-            },
-            DbFormat::Colsh => {
-                Sink::Colsh(ColshWriter::create_grouped(path, group)?.with_dict_epoch_groups(epoch))
-            }
-        };
+    if !(resume && path.exists()) {
+        let sink = ShardSink::create(path, manifest.format)?.with_colsh_layout(group, epoch);
         return Ok(ShardScan { sink, completed: 0 });
     }
-    let (state, sink) = match manifest.format {
-        DbFormat::Jsonl => {
-            let state = crate::db::resume_jsonl(path)?;
-            let file = std::fs::OpenOptions::new().append(true).open(path)?;
-            file.set_len(state.valid_len)?;
-            let records = state.completed.len() as u64;
-            (
-                state,
-                Sink::Jsonl {
-                    out: BufWriter::new(file),
-                    records,
-                },
-            )
-        }
-        DbFormat::Colsh => {
-            let (state, append) = crate::colsh::resume_colsh(path)?;
-            let writer = ColshWriter::append(path, state.valid_len, append)?
-                .with_group_records(group)
-                .with_dict_epoch_groups(epoch);
-            (state, Sink::Colsh(writer))
-        }
-    };
+    let (sink, completed) = ShardSink::resume(path, manifest.format)?;
+    let sink = sink.with_colsh_layout(group, epoch);
     // The stripe prefix check: shard `s` holds ranks s+1, s+1+S, … in
     // order, so its completed set must be exactly the first k of those.
     let stride = manifest.shards as u64;
-    for (position, &rank) in state.completed.iter().enumerate() {
+    for (position, &rank) in completed.iter().enumerate() {
         let expected = shard as u64 + 1 + position as u64 * stride;
         if rank != expected {
             return Err(std::io::Error::new(
@@ -685,10 +608,13 @@ fn scan_shard(
         }
     }
     Ok(ShardScan {
-        completed: state.completed.len() as u64,
+        completed: completed.len() as u64,
         sink,
     })
 }
+
+/// What a lease worker sends the shard writer for one rank.
+type Delivery = (u64, Tally, Prepared);
 
 /// One contiguous batch of ranks a worker leases.
 #[derive(Debug)]
@@ -869,11 +795,13 @@ fn run_job(
     let leases_quarantined = AtomicU64::new(0);
     let lease_backoff_ms = AtomicU64::new(0);
 
+    // Workers send each rank's record prepared for its shard (a JSONL
+    // line is already encoded), so the writer only reorders and appends.
     let (sender, receiver) =
-        std::sync::mpsc::sync_channel::<(u64, SiteRecord)>(opts.channel_capacity.max(1));
+        std::sync::mpsc::sync_channel::<Delivery>(opts.channel_capacity.max(1));
 
     // Writer-side state, mutated only by the scope's own thread.
-    let mut pending: BTreeMap<u64, SiteRecord> = BTreeMap::new();
+    let mut pending: BTreeMap<u64, (Tally, Prepared)> = BTreeMap::new();
     let mut peak_pending = 0u64;
     let mut cursor = 1u64;
     let mut funnel = CrawlFunnel {
@@ -881,7 +809,6 @@ fn run_job(
         ..CrawlFunnel::default()
     };
     let mut written = 0u64;
-    let mut line = String::new();
     let mut writer_error: Option<JobError> = None;
 
     let make_status = |state: &str,
@@ -944,7 +871,13 @@ fn run_job(
                     q.push_front(lease);
                     queue_depth.store(q.len() as u64, Ordering::Relaxed);
                 };
-                let process = |lease: &mut Lease, sender: &SyncSender<(u64, SiteRecord)>| {
+                let deliver = |sender: &SyncSender<Delivery>, rank: u64, record: SiteRecord| {
+                    let tally = Tally::of(&record);
+                    sender
+                        .send((rank, tally, Prepared::new(manifest.format, record)))
+                        .is_err()
+                };
+                let process = |lease: &mut Lease, sender: &SyncSender<Delivery>| {
                     while lease.next <= lease.hi {
                         if stop.load(Ordering::Relaxed) {
                             return LeaseRun::Stopped;
@@ -971,7 +904,7 @@ fn run_job(
                                     rank,
                                     Some((telemetry, worker)),
                                 );
-                                sender.send((rank, record)).is_err()
+                                deliver(sender, rank, record)
                             }));
                         match attempt {
                             Err(_) => return LeaseRun::Failed,
@@ -1034,7 +967,7 @@ fn run_job(
                                             );
                                         }
                                     }
-                                    if sender.send((rank, record)).is_err() {
+                                    if deliver(&sender, rank, record) {
                                         writer_gone = true;
                                         break;
                                     }
@@ -1057,20 +990,20 @@ fn run_job(
 
         // The shard writer: reorder into global rank order, append,
         // checkpoint the health surface.
-        'writer: for (rank, record) in receiver.iter() {
-            pending.insert(rank, record);
+        'writer: for (rank, tally, prepared) in receiver.iter() {
+            pending.insert(rank, (tally, prepared));
             peak_pending = peak_pending.max(pending.len() as u64);
             while cursor <= manifest.size {
                 if high_water.is_done(cursor) {
                     cursor += 1;
                     continue;
                 }
-                let Some(next) = pending.remove(&cursor) else {
+                let Some((tally, prepared)) = pending.remove(&cursor) else {
                     break;
                 };
-                funnel.count_record(&next);
+                funnel.count_tally(tally);
                 let shard = shard_index(cursor, sinks.len());
-                if let Err(e) = sinks[shard].push(&next, &mut line) {
+                if let Err(e) = sinks[shard].append(prepared) {
                     writer_error = Some(JobError::Io(std::io::Error::new(
                         e.kind(),
                         format!("writing {}: {e}", shard_files[shard].display()),

@@ -46,6 +46,7 @@ mod follow;
 mod funnel;
 mod jobs;
 mod run;
+mod shard;
 mod telemetry;
 
 pub use bundle::{
@@ -69,5 +70,6 @@ pub use jobs::{
     JobStatus, DEFAULT_LEASE_RECORDS, MANIFEST_FILE, MANIFEST_VERSION, STATUS_FILE,
 };
 pub use netsim::FaultSpec;
-pub use run::{CrawlConfig, CrawlDataset, Crawler, SiteOutcome, SiteRecord};
+pub use run::{CrawlConfig, CrawlDataset, Crawler, RankSource, SiteOutcome, SiteRecord};
+pub use shard::{Prepared, ShardSink};
 pub use telemetry::{CrawlTelemetry, TelemetrySnapshot, LATENCY_BOUNDS_MS};

@@ -22,7 +22,7 @@
 //!   (outcome counters, latency histogram, retry totals, per-worker
 //!   utilization, cache hit rates) that can be polled mid-crawl.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use webgen::WebPopulation;
 
 use crate::bundle::{BundleRecorder, ReplayBundle, SiteBundle};
-use crate::funnel::CrawlFunnel;
+use crate::funnel::{CrawlFunnel, Tally};
 use crate::telemetry::CrawlTelemetry;
 
 /// Crawl configuration.
@@ -164,6 +164,15 @@ struct AttemptOutcome {
     panicked: bool,
 }
 
+/// Where a streamed crawl's records come from.
+#[derive(Clone, Copy)]
+pub enum RankSource<'a> {
+    /// Visit the live population.
+    Live(&'a WebPopulation),
+    /// Replay a loaded bundle store; the generator is never invoked.
+    Replay(&'a ReplayBundle),
+}
+
 /// The crawler.
 pub struct Crawler {
     config: CrawlConfig,
@@ -265,7 +274,7 @@ impl Crawler {
             // reproduce the synthesized record it wrote.
             let record = SiteRecord {
                 rank,
-                origin: manifest.origin.clone(),
+                origin: manifest.origin,
                 outcome: SiteOutcome::CrawlerError,
                 visit: None,
                 elapsed_ms: 0,
@@ -278,8 +287,9 @@ impl Crawler {
         }
         let origin = weburl::Url::parse(&manifest.origin)
             .unwrap_or_else(|e| panic!("recorded origin {:?} unparseable: {e:?}", manifest.origin));
+        let mut tapes = bundle.tapes(manifest).into_iter();
         self.visit_loop(rank, &origin, telemetry, |attempt| {
-            ReplayNetwork::new(bundle.tape(rank, attempt as usize).unwrap_or_else(|| {
+            ReplayNetwork::new(tapes.next().unwrap_or_else(|| {
                 panic!("replay divergence: rank {rank} has no recorded attempt {attempt}")
             }))
         })
@@ -435,16 +445,18 @@ impl Crawler {
         population: &WebPopulation,
         completed: &BTreeSet<u64>,
         telemetry: &CrawlTelemetry,
-        sink: F,
+        mut sink: F,
     ) -> CrawlFunnel
     where
         F: FnMut(SiteRecord) + Send,
     {
-        self.stream_observed(
-            population.config().size,
+        let source = RankSource::Live(population);
+        self.stream_prepared(
+            source,
             completed,
-            sink,
-            &|rank, worker| self.visit_observed(population, rank, Some((telemetry, worker))),
+            telemetry,
+            &|record| record,
+            |_, record| sink(record),
         )
     }
 
@@ -457,41 +469,99 @@ impl Crawler {
         bundle: &ReplayBundle,
         completed: &BTreeSet<u64>,
         telemetry: &CrawlTelemetry,
-        sink: F,
+        mut sink: F,
     ) -> CrawlFunnel
     where
         F: FnMut(SiteRecord) + Send,
     {
-        self.stream_observed(bundle.sites(), completed, sink, &|rank, worker| {
-            self.replay_observed(bundle, rank, Some((telemetry, worker)))
-        })
+        let source = RankSource::Replay(bundle);
+        self.stream_prepared(
+            source,
+            completed,
+            telemetry,
+            &|record| record,
+            |_, record| sink(record),
+        )
+    }
+
+    /// The streaming pool behind every streamed crawl: visits the ranks
+    /// of `source` not in `completed` and hands `deliver` each rank's
+    /// prepared record in rank order.
+    ///
+    /// The worker that visited a rank runs `prepare` on its record (for
+    /// a shard, [`crate::Prepared::new`] encodes it) before the in-order
+    /// drain. The drain is one mutex over the reorder buffer, the rank
+    /// cursor and `deliver`, so `deliver` should only append what was
+    /// prepared.
+    pub fn stream_prepared<T, D>(
+        &self,
+        source: RankSource<'_>,
+        completed: &BTreeSet<u64>,
+        telemetry: &CrawlTelemetry,
+        prepare: &(dyn Fn(SiteRecord) -> T + Sync),
+        deliver: D,
+    ) -> CrawlFunnel
+    where
+        T: Send,
+        D: FnMut(u64, T) + Send,
+    {
+        match source {
+            RankSource::Live(population) => self.stream_observed(
+                population.config().size,
+                completed,
+                prepare,
+                deliver,
+                &|rank, worker| self.visit_observed(population, rank, Some((telemetry, worker))),
+            ),
+            RankSource::Replay(bundle) => self.stream_observed(
+                bundle.sites(),
+                completed,
+                prepare,
+                deliver,
+                &|rank, worker| self.replay_observed(bundle, rank, Some((telemetry, worker))),
+            ),
+        }
     }
 
     /// The shared streaming pool: visits ranks `1..=to` via `visit`,
-    /// delivering records to `sink` in rank order.
-    fn stream_observed<F>(
+    /// delivering prepared records in rank order.
+    fn stream_observed<T, D>(
         &self,
         to: u64,
         completed: &BTreeSet<u64>,
-        mut sink: F,
+        prepare: &(dyn Fn(SiteRecord) -> T + Sync),
+        deliver: D,
         visit: &(dyn Fn(u64, usize) -> SiteRecord + Sync),
     ) -> CrawlFunnel
     where
-        F: FnMut(SiteRecord) + Send,
+        T: Send,
+        D: FnMut(u64, T) + Send,
     {
+        /// The in-order drain: everything the delivery lock covers.
+        struct Drain<T, D> {
+            /// Prepared records waiting for the cursor.
+            pending: BTreeMap<u64, (Tally, T)>,
+            /// Next rank to deliver.
+            cursor: u64,
+            funnel: CrawlFunnel,
+            deliver: D,
+        }
+
         let workers = self.config.workers.max(1);
-        let pending = Mutex::new(std::collections::BTreeMap::<u64, SiteRecord>::new());
         let next_rank = AtomicU64::new(1);
-        let mut funnel = CrawlFunnel {
-            attempted: (1..=to).filter(|r| !completed.contains(r)).count() as u64,
-            ..CrawlFunnel::default()
-        };
-        let sink_cell = Mutex::new((&mut sink, 1u64, &mut funnel));
+        let drain = Mutex::new(Drain {
+            pending: BTreeMap::new(),
+            cursor: 1,
+            funnel: CrawlFunnel {
+                attempted: (1..=to).filter(|r| !completed.contains(r)).count() as u64,
+                ..CrawlFunnel::default()
+            },
+            deliver,
+        });
 
         std::thread::scope(|scope| {
-            let pending = &pending;
             let next_rank = &next_rank;
-            let sink_cell = &sink_cell;
+            let drain = &drain;
             for worker in 0..workers {
                 scope.spawn(move || loop {
                     let rank = next_rank.fetch_add(1, Ordering::Relaxed);
@@ -502,28 +572,30 @@ impl Crawler {
                         continue;
                     }
                     let record = visit(rank, worker);
-                    let mut buffer = pending.lock().expect("pending lock");
-                    buffer.insert(rank, record);
-                    // Drain the in-order prefix (checkpointed ranks count
-                    // as already delivered).
-                    let mut out = sink_cell.lock().expect("sink lock");
-                    let (sink, cursor, funnel) = &mut *out;
-                    while *cursor <= to {
-                        if completed.contains(cursor) {
-                            *cursor += 1;
+                    let tally = Tally::of(&record);
+                    let prepared = prepare(record);
+                    let mut guard = drain.lock().expect("drain lock");
+                    let drain = &mut *guard;
+                    drain.pending.insert(rank, (tally, prepared));
+                    // Deliver the in-order prefix (checkpointed ranks
+                    // count as already delivered).
+                    while drain.cursor <= to {
+                        let cursor = drain.cursor;
+                        if completed.contains(&cursor) {
+                            drain.cursor += 1;
                             continue;
                         }
-                        let Some(record) = buffer.remove(cursor) else {
+                        let Some((tally, prepared)) = drain.pending.remove(&cursor) else {
                             break;
                         };
-                        funnel.count_record(&record);
-                        sink(record);
-                        *cursor += 1;
+                        drain.funnel.count_tally(tally);
+                        (drain.deliver)(cursor, prepared);
+                        drain.cursor += 1;
                     }
                 });
             }
         });
-        funnel
+        drain.into_inner().expect("drain lock").funnel
     }
 
     /// Crawls ranks `from..=to` (1-based, inclusive).

@@ -189,17 +189,33 @@ impl ReplayNetwork {
     }
 }
 
+/// Whether `url` serializes to exactly `recorded`, compared piecewise as
+/// `Url`'s `Display` writes it, so a faithful replay allocates nothing.
+fn serializes_to(url: &Url, recorded: &str) -> bool {
+    struct Match<'a>(&'a str);
+    impl std::fmt::Write for Match<'_> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(std::fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Match(recorded);
+    std::fmt::write(&mut rest, format_args!("{url}")).is_ok() && rest.0.is_empty()
+}
+
 impl Network for ReplayNetwork {
     fn fetch(&mut self, url: &Url, clock: &mut SimClock) -> Result<Response, FetchError> {
-        let requested = url.to_string();
         let Some(exchange) = self.exchanges.pop_front() else {
-            panic!("replay divergence: fetch of {requested} past the end of the tape");
+            panic!("replay divergence: fetch of {url} past the end of the tape");
         };
-        assert_eq!(
-            exchange.url, requested,
-            "replay divergence: tape recorded a fetch of {} here",
-            exchange.url
-        );
+        if !serializes_to(url, &exchange.url) {
+            assert_eq!(
+                exchange.url,
+                url.to_string(),
+                "replay divergence: tape recorded a fetch of {} here",
+                exchange.url
+            );
+        }
         clock.advance(exchange.advance_ms);
         match exchange.outcome {
             ExchangeOutcome::Content {
@@ -225,15 +241,17 @@ impl Network for ReplayNetwork {
     }
 
     fn post_fetch_failure(&self, url: &Url) -> Option<FetchError> {
-        let requested = url.to_string();
         let Some(probe) = self.probes.borrow_mut().pop_front() else {
-            panic!("replay divergence: post-fetch probe of {requested} past the end of the tape");
+            panic!("replay divergence: post-fetch probe of {url} past the end of the tape");
         };
-        assert_eq!(
-            probe.url, requested,
-            "replay divergence: tape recorded a probe of {} here",
-            probe.url
-        );
+        if !serializes_to(url, &probe.url) {
+            assert_eq!(
+                probe.url,
+                url.to_string(),
+                "replay divergence: tape recorded a probe of {} here",
+                probe.url
+            );
+        }
         probe.failure
     }
 }
@@ -374,5 +392,82 @@ mod tests {
         }));
         std::panic::set_hook(prev);
         assert!(result.is_err(), "URL mismatch must panic");
+    }
+
+    #[test]
+    fn serialization_match_is_exact() {
+        for s in [
+            "https://ok.example/",
+            "https://ok.example:8443/a/b?q=1#frag",
+            "data:text/html,<p>x</p>",
+            "about:blank",
+        ] {
+            let parsed = url(s);
+            let shown = parsed.to_string();
+            assert!(serializes_to(&parsed, &shown), "{shown}");
+            assert!(
+                !serializes_to(&parsed, &shown[..shown.len() - 1]),
+                "{shown}"
+            );
+            assert!(!serializes_to(&parsed, &format!("{shown}x")), "{shown}");
+            assert!(!serializes_to(&parsed, ""), "{shown}");
+        }
+        assert!(!serializes_to(
+            &url("https://ok.example/a"),
+            "https://ok.example/b"
+        ));
+    }
+
+    /// The panic payload of `body`, as text.
+    fn divergence_message(body: impl FnOnce()) -> String {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+        std::panic::set_hook(prev);
+        let payload = result.expect_err("divergence must panic");
+        panic_message(payload.as_ref())
+    }
+
+    #[test]
+    fn divergence_messages_name_both_urls() {
+        let tape = TapeHandle::new();
+        let mut clock = SimClock::new();
+        let mut recorder = RecordingNetwork::new(SimNetwork::new(TwoSites), tape.clone());
+        recorder
+            .fetch(&url("https://ok.example/"), &mut clock)
+            .unwrap();
+        recorder.post_fetch_failure(&url("https://ok.example/"));
+        let recorded = tape.take();
+
+        let message = divergence_message(|| {
+            let _ = ReplayNetwork::new(recorded.clone())
+                .fetch(&url("https://other.example/"), &mut SimClock::new());
+        });
+        assert!(
+            message.contains("tape recorded a fetch of https://ok.example/ here"),
+            "{message}"
+        );
+        assert!(message.contains("https://other.example/"), "{message}");
+
+        let message = divergence_message(|| {
+            let mut replay = ReplayNetwork::new(recorded.clone());
+            let _ = replay.fetch(&url("https://ok.example/"), &mut SimClock::new());
+            replay.post_fetch_failure(&url("https://other.example/"));
+        });
+        assert!(
+            message.contains("tape recorded a probe of https://ok.example/ here"),
+            "{message}"
+        );
+        assert!(message.contains("https://other.example/"), "{message}");
+
+        let message = divergence_message(|| {
+            let mut replay = ReplayNetwork::new(recorded.clone());
+            let _ = replay.fetch(&url("https://ok.example/"), &mut SimClock::new());
+            let _ = replay.fetch(&url("https://ok.example/more"), &mut SimClock::new());
+        });
+        assert_eq!(
+            message,
+            "replay divergence: fetch of https://ok.example/more past the end of the tape"
+        );
     }
 }

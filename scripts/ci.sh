@@ -117,10 +117,39 @@ trap 'rm -rf "$REC"' EXIT
 "$BIN" crawl --size 20000 --seed 7 --record "$REC/bundle" --out "$REC/live.jsonl" 2>/dev/null
 "$BIN" crawl --replay "$REC/bundle" --out "$REC/replayed.jsonl" 2>/dev/null
 cmp "$REC/live.jsonl" "$REC/replayed.jsonl"
+"$BIN" crawl --replay "$REC/bundle" --workers 1 --out "$REC/replayed-w1.jsonl" 2>/dev/null
+cmp "$REC/live.jsonl" "$REC/replayed-w1.jsonl"
 "$BIN" crawl --size 20000 --seed 7 --format columnar --out "$REC/live.colsh" 2>/dev/null
 "$BIN" crawl --replay "$REC/bundle" --format columnar --out "$REC/replayed.colsh" 2>/dev/null
 cmp "$REC/live.colsh" "$REC/replayed.colsh"
-echo "    recorded 20k crawl replays byte-identically in JSONL and .colsh"
+mkdir -p "$REC/live4" "$REC/replayed4"
+"$BIN" crawl --size 20000 --seed 7 --shards 4 --out "$REC/live4/crawl.jsonl" 2>/dev/null
+"$BIN" crawl --replay "$REC/bundle" --shards 4 --out "$REC/replayed4/crawl.jsonl" 2>/dev/null
+for i in 000 001 002 003; do
+    cmp "$REC/live4/crawl-$i.jsonl" "$REC/replayed4/crawl-$i.jsonl"
+done
+echo "    recorded 20k crawl replays byte-identically in JSONL (8 and 1 workers, 1 and 4 shards) and .colsh"
+# A store with one blob byte flipped must fail before any output file
+# is created. Byte 40 lies in the first blob's content (after the
+# 8-byte magic, the 8-byte frame header and the 16-byte digest).
+cp -r "$REC/bundle" "$REC/damaged"
+byte=$(od -An -tu1 -j 40 -N1 "$REC/damaged/blobs.bin" | tr -d ' ')
+printf "\\$(printf '%03o' $((byte ^ 1)))" |
+    dd of="$REC/damaged/blobs.bin" bs=1 seek=40 conv=notrunc 2>/dev/null
+cmp -s "$REC/bundle/blobs.bin" "$REC/damaged/blobs.bin" && {
+    echo "the damaged store copy is unchanged" >&2
+    exit 1
+}
+if "$BIN" crawl --replay "$REC/damaged" --out "$REC/damaged.jsonl" 2>"$REC/damaged.err"; then
+    echo "replaying a damaged bundle store unexpectedly succeeded" >&2
+    exit 1
+fi
+grep -q "blobs.bin" "$REC/damaged.err"
+if [ -e "$REC/damaged.jsonl" ]; then
+    echo "replaying a damaged bundle store created its output file" >&2
+    exit 1
+fi
+echo "    a store with one flipped blob byte fails loudly and writes no output"
 # The content-addressed store must actually dedup: ratio >= 1.5 (2.11
 # measured, see EXPERIMENTS.md) and a store strictly smaller than the
 # JSONL dataset it reproduces.

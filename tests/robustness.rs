@@ -215,3 +215,96 @@ fn worker_counts_never_change_results() {
     assert_eq!(summaries[0], summaries[1]);
     assert_eq!(summaries[1], summaries[2]);
 }
+
+#[test]
+fn adversarial_shard_streams_are_identical_at_any_worker_count() {
+    use crawler::{DbFormat, Prepared, RankSource, ShardSink};
+    use std::collections::BTreeSet;
+
+    // Hostile origins make visit times uneven, so workers finish ranks
+    // far out of order. The in-order drain must still write every shard
+    // byte for byte the same, in rank order, at any worker count.
+    const SIZE: u64 = 200;
+    const SHARDS: usize = 4;
+    let population = WebPopulation::new(PopulationConfig {
+        seed: 11,
+        size: SIZE,
+    })
+    .with_adversarial(true);
+    let batch = Crawler::new(CrawlConfig::default()).crawl(&population);
+    let dir =
+        std::env::temp_dir().join(format!("odyssey-adversarial-shards-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (format, ext) in [(DbFormat::Jsonl, "jsonl"), (DbFormat::Colsh, "colsh")] {
+        let mut reference: Option<Vec<Vec<u8>>> = None;
+        for workers in [1usize, 2, 8] {
+            let base = dir.join(format!("w{workers}.{ext}"));
+            let paths: Vec<_> = (0..SHARDS).map(|i| crawler::shard_path(&base, i)).collect();
+            let mut sinks: Vec<ShardSink> = paths
+                .iter()
+                .map(|path| ShardSink::create(path, format).unwrap())
+                .collect();
+            let mut delivered = Vec::new();
+            let funnel = Crawler::new(CrawlConfig {
+                workers,
+                ..CrawlConfig::default()
+            })
+            .stream_prepared(
+                RankSource::Live(&population),
+                &BTreeSet::new(),
+                &crawler::CrawlTelemetry::new(workers),
+                &|record| Prepared::new(format, record),
+                |rank, prepared| {
+                    delivered.push(rank);
+                    let shard = crawler::shard_index(rank, SHARDS);
+                    sinks[shard].append(prepared).unwrap();
+                },
+            );
+            for sink in sinks {
+                sink.finish().unwrap();
+            }
+            assert_eq!(
+                delivered,
+                (1..=SIZE).collect::<Vec<_>>(),
+                "{workers} workers"
+            );
+            assert_eq!(funnel, batch.funnel(), "{workers} workers");
+            // Each shard holds its stripe, in rank order, and exactly the
+            // records a batch crawl produces.
+            for (shard, path) in paths.iter().enumerate() {
+                let records: Vec<_> =
+                    crawler::AnyRecordStream::open(path, crawler::StreamMode::Strict)
+                        .unwrap()
+                        .map(|record| record.unwrap())
+                        .collect();
+                let stripe: Vec<_> = batch
+                    .records
+                    .iter()
+                    .filter(|r| crawler::shard_index(r.rank, SHARDS) == shard)
+                    .cloned()
+                    .collect();
+                assert!(records == stripe, "{ext} shard {shard}, {workers} workers");
+                if format == DbFormat::Jsonl {
+                    let mut lines = String::new();
+                    for record in &stripe {
+                        lines.push_str(&serde_json::to_string(record).unwrap());
+                        lines.push('\n');
+                    }
+                    assert!(
+                        std::fs::read(path).unwrap() == lines.as_bytes(),
+                        "JSONL shard {shard} bytes, {workers} workers"
+                    );
+                }
+            }
+            let bytes: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+            match &reference {
+                None => reference = Some(bytes),
+                Some(reference) => assert!(
+                    reference == &bytes,
+                    "{ext} shards differ between 1 and {workers} workers"
+                ),
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
