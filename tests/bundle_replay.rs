@@ -227,3 +227,30 @@ fn store_is_smaller_than_jsonl_dataset() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Workers hash blobs and encode manifests concurrently before the
+/// recorder commits them in rank order, so the store's bytes must not
+/// depend on how many workers recorded it.
+#[test]
+fn store_bytes_do_not_depend_on_recording_workers() {
+    let store = |workers: usize| {
+        let config = CrawlConfig {
+            workers,
+            ..CrawlConfig::default()
+        };
+        let (dir, _) = record_crawl(&format!("workers{workers}"), &config, 7, 60, true);
+        let bytes: Vec<Vec<u8>> = [BUNDLE_BLOBS_FILE, BUNDLE_MANIFESTS_FILE]
+            .iter()
+            .map(|file| std::fs::read(dir.join(file)).expect("read pack file"))
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        bytes
+    };
+    let serial = store(1);
+    for workers in [2, 8] {
+        assert!(
+            store(workers) == serial,
+            "a store recorded by {workers} workers differs from a serial recording"
+        );
+    }
+}
