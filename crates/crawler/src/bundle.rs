@@ -35,7 +35,6 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{BufWriter, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -84,31 +83,6 @@ pub fn digest128(bytes: &[u8]) -> [u8; 16] {
     }
     hash.to_le_bytes()
 }
-
-/// Hashes a blob digest for the store's lookup tables. The digest is
-/// already an FNV-1a hash of the content, so a multiply-fold of its
-/// words spreads it over the table without SipHash's cost on every
-/// lookup.
-#[derive(Default)]
-struct DigestHasher(u64);
-
-impl Hasher for DigestHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = (self.0 ^ u64::from_le_bytes(word)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 29)
-    }
-}
-
-type DigestState = BuildHasherDefault<DigestHasher>;
-type DigestMap<V> = HashMap<[u8; 16], V, DigestState>;
-type DigestSet = HashSet<[u8; 16], DigestState>;
 
 fn invalid<T>(message: String) -> std::io::Result<T> {
     Err(std::io::Error::new(
@@ -786,7 +760,7 @@ struct RecorderInner {
     blobs: BufWriter<File>,
     manifests: BufWriter<File>,
     /// Digests already durable in `blobs.bin`.
-    index: DigestSet,
+    index: HashSet<[u8; 16]>,
     /// Next rank to commit; ranks below it are already durable.
     cursor: u64,
     /// Ranks durable in `manifests.bin` when the store was opened.
@@ -827,7 +801,7 @@ impl BundleRecorder {
             inner: Mutex::new(RecorderInner {
                 blobs,
                 manifests,
-                index: DigestSet::default(),
+                index: HashSet::new(),
                 cursor: 1,
                 durable_prefix: 0,
                 pending: BTreeMap::new(),
@@ -861,13 +835,13 @@ impl BundleRecorder {
             Pack::default()
         };
         let blobs_valid = blob_pack.valid_len;
-        let mut index = DigestSet::default();
+        let mut index = HashSet::new();
         for record in &blob_pack.records {
             let payload = blob_pack.payload(record);
             if payload.len() < 16 {
                 break; // treat as damage: truncate here
             }
-            let digest: [u8; 16] = payload[..16].try_into().unwrap();
+            let digest: [u8; 16] = payload[..16].try_into().expect("16 bytes make a digest");
             index.insert(digest);
         }
         let manifest_pack = if manifests_path.exists() {
@@ -1024,7 +998,7 @@ fn commit_site(inner: &mut RecorderInner, site: &PreparedSite) -> std::io::Resul
 #[derive(Debug)]
 pub struct ReplayBundle {
     meta: BundleMeta,
-    blobs: DigestMap<Bytes>,
+    blobs: HashMap<[u8; 16], Bytes>,
     /// The `manifests.bin` buffer.
     manifest_file: Vec<u8>,
     /// Rank `r`'s manifest payload in `manifest_file`, at index `r - 1`.
@@ -1144,10 +1118,10 @@ impl ReplayBundle {
 
 /// Strict-loads `blobs.bin`: frames and CRCs, then each blob's digest,
 /// keyed by digest as slices of the one file buffer.
-fn load_blobs(path: &Path) -> std::io::Result<DigestMap<Bytes>> {
+fn load_blobs(path: &Path) -> std::io::Result<HashMap<[u8; 16], Bytes>> {
     let Pack { bytes, records, .. } = read_pack(path, BLOB_MAGIC, StreamMode::Strict)?;
     let file = Bytes::from(bytes);
-    let mut blobs = DigestMap::with_capacity_and_hasher(records.len(), DigestState::default());
+    let mut blobs = HashMap::with_capacity(records.len());
     for record in records {
         let payload = &file[record.payload.clone()];
         if payload.len() < 16 {
@@ -1157,7 +1131,7 @@ fn load_blobs(path: &Path) -> std::io::Result<DigestMap<Bytes>> {
                 record.offset
             ));
         }
-        let digest: [u8; 16] = payload[..16].try_into().unwrap();
+        let digest: [u8; 16] = payload[..16].try_into().expect("16 bytes make a digest");
         if digest128(&payload[16..]) != digest {
             return invalid(format!(
                 "{}: blob at byte {} does not hash to its stored digest",
@@ -1179,14 +1153,14 @@ struct LoadedManifests {
     pack: Pack,
     /// Every blob digest the manifests reference, with the frame offset
     /// and rank of the first manifest referencing it.
-    references: DigestMap<(u64, u64)>,
+    references: HashMap<[u8; 16], (u64, u64)>,
 }
 
 /// Strict-loads `manifests.bin`: frames and CRCs, canonical decode and
 /// contiguous ranks from 1, and the blob digests referenced.
 fn load_manifests(path: &Path) -> std::io::Result<LoadedManifests> {
     let pack = read_pack(path, MANIFEST_MAGIC, StreamMode::Strict)?;
-    let mut references = DigestMap::default();
+    let mut references = HashMap::new();
     for (index, record) in pack.records.iter().enumerate() {
         let manifest = SiteManifest::decode(pack.payload(record)).map_err(|e| {
             std::io::Error::new(
@@ -1259,7 +1233,7 @@ impl BundleStat {
         let manifests_path = dir.join(BUNDLE_MANIFESTS_FILE);
         let blob_pack = read_pack(&blobs_path, BLOB_MAGIC, mode)?;
         stat.blob_skips = blob_pack.report.clone();
-        let mut sizes: DigestMap<u64> = DigestMap::default();
+        let mut sizes: HashMap<[u8; 16], u64> = HashMap::new();
         for record in &blob_pack.records {
             let payload = blob_pack.payload(record);
             if payload.len() < 16 {
@@ -1277,7 +1251,7 @@ impl BundleStat {
                     }
                 }
             }
-            let digest: [u8; 16] = payload[..16].try_into().unwrap();
+            let digest: [u8; 16] = payload[..16].try_into().expect("16 bytes make a digest");
             let len = (payload.len() - 16) as u64;
             sizes.insert(digest, len);
             stat.stored_bytes += len;
