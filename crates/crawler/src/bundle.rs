@@ -1023,7 +1023,8 @@ impl ReplayBundle {
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             (blobs, manifests)
         });
-        // Blob damage is reported first, as when the files loaded in turn.
+        // Blob damage is reported before manifest damage, whichever
+        // thread finished first, so the error does not depend on timing.
         let blobs = blobs?;
         let manifests = manifests?;
         // The first reference (in file order) to a missing blob.

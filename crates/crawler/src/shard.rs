@@ -7,7 +7,6 @@
 //! [`ShardSink`]. A `.colsh` record passes through unencoded, because
 //! the columnar dictionaries assign ids in record order.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -26,22 +25,16 @@ pub enum Prepared {
     Record(SiteRecord),
 }
 
-thread_local! {
-    /// Per-worker encoding scratch: each line is encoded here and copied
-    /// out at its exact length, so no line pays for regrowing a buffer.
-    static SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
-}
-
 impl Prepared {
     /// Prepares `record` for a shard in `format`, consuming it.
     pub fn new(format: DbFormat, record: SiteRecord) -> Prepared {
         match format {
-            DbFormat::Jsonl => Prepared::Line(SCRATCH.with_borrow_mut(|line| {
-                line.clear();
-                serde_json::to_string_into(&record, line);
+            DbFormat::Jsonl => {
+                let mut line = String::new();
+                serde_json::to_string_into(&record, &mut line);
                 line.push('\n');
-                line.as_bytes().to_vec()
-            })),
+                Prepared::Line(line.into_bytes())
+            }
             DbFormat::Colsh => Prepared::Record(record),
         }
     }
