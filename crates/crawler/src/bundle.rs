@@ -696,52 +696,48 @@ struct PreparedSite {
 }
 
 impl PreparedSite {
-    fn new(bundle: &SiteBundle) -> PreparedSite {
+    fn new(bundle: SiteBundle) -> PreparedSite {
         let mut blobs = Vec::new();
-        let mut attempts = Vec::with_capacity(bundle.attempts.len());
-        for tape in &bundle.attempts {
-            let mut exchanges = Vec::with_capacity(tape.exchanges.len());
-            for exchange in &tape.exchanges {
-                let outcome = match &exchange.outcome {
-                    ExchangeOutcome::Content {
-                        status,
-                        headers,
-                        body,
-                        final_url,
-                        redirects,
-                    } => {
-                        let mut blob = |bytes: Bytes| {
-                            let digest = digest128(&bytes);
-                            blobs.push((digest, bytes));
-                            digest
-                        };
-                        let headers = blob(Bytes::from(encode_headers(headers)));
-                        let body = blob(body.clone());
-                        OutcomeRef::Content {
-                            status: *status,
-                            headers,
-                            body,
-                            final_url: final_url.clone(),
-                            redirects: *redirects,
-                        }
-                    }
-                    ExchangeOutcome::Error(err) => OutcomeRef::Error(*err),
-                    ExchangeOutcome::Panic(message) => OutcomeRef::Panic(message.clone()),
-                };
-                exchanges.push(ExchangeRef {
-                    url: exchange.url.clone(),
-                    advance_ms: exchange.advance_ms,
-                    outcome,
-                });
-            }
-            attempts.push(AttemptRef {
-                exchanges,
-                probes: tape.probes.clone(),
-            });
-        }
+        let mut blob = |bytes: Bytes| {
+            let digest = digest128(&bytes);
+            blobs.push((digest, bytes));
+            digest
+        };
+        let attempts = bundle
+            .attempts
+            .into_iter()
+            .map(|tape| AttemptRef {
+                exchanges: tape
+                    .exchanges
+                    .into_iter()
+                    .map(|exchange| ExchangeRef {
+                        url: exchange.url,
+                        advance_ms: exchange.advance_ms,
+                        outcome: match exchange.outcome {
+                            ExchangeOutcome::Content {
+                                status,
+                                headers,
+                                body,
+                                final_url,
+                                redirects,
+                            } => OutcomeRef::Content {
+                                status,
+                                headers: blob(Bytes::from(encode_headers(&headers))),
+                                body: blob(body),
+                                final_url,
+                                redirects,
+                            },
+                            ExchangeOutcome::Error(err) => OutcomeRef::Error(err),
+                            ExchangeOutcome::Panic(message) => OutcomeRef::Panic(message),
+                        },
+                    })
+                    .collect(),
+                probes: tape.probes,
+            })
+            .collect();
         let manifest = SiteManifest {
             rank: bundle.rank,
-            origin: bundle.origin.clone(),
+            origin: bundle.origin,
             synthesized: bundle.synthesized,
             attempts,
         };
@@ -749,7 +745,7 @@ impl PreparedSite {
         write_framed(&mut manifest_frame, &manifest.encode())
             .expect("writing to a Vec cannot fail");
         PreparedSite {
-            rank: bundle.rank,
+            rank: manifest.rank,
             blobs,
             manifest_frame,
         }
@@ -925,8 +921,7 @@ impl BundleRecorder {
     /// already-durable ranks are dropped. The site's digests and its
     /// manifest are computed on the calling thread, before the lock.
     pub fn submit(&self, bundle: SiteBundle) -> std::io::Result<()> {
-        let site = PreparedSite::new(&bundle);
-        drop(bundle);
+        let site = PreparedSite::new(bundle);
         let mut inner = self.inner.lock().expect("recorder lock");
         let inner = &mut *inner;
         if site.rank < inner.cursor {
