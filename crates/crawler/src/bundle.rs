@@ -1075,7 +1075,7 @@ impl ReplayBundle {
 
     /// Rebuilds every attempt's raw visit tape from a decoded manifest of
     /// this store, moving its strings into the tapes.
-    pub fn tapes(&self, manifest: SiteManifest) -> Vec<VisitTape> {
+    pub(crate) fn tapes(&self, manifest: SiteManifest) -> Vec<VisitTape> {
         manifest
             .attempts
             .into_iter()
