@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 use std::time::Instant;
 
-use jsland::{ExecEngine, RecordingHooks, ScriptEngine, ScriptSource, StepPool};
+use jsland::{Engine, Interpreter, RecordingHooks, ScriptSource, StepPool, Vm};
 
 /// Per-run step budget — high enough that no workload trips it.
 const BUDGET: u64 = 2_000_000;
@@ -53,46 +53,50 @@ fn page_mix() -> String {
     .join("\n")
 }
 
-/// Runs one fresh engine over `src` (timers drained, like a page visit)
-/// and returns the exact steps charged.
-fn run_once(engine: ExecEngine, src: &str) -> u64 {
+/// Runs one fresh engine over `src` (timers drained, like a page visit),
+/// returning it and the exact steps charged.
+fn run<E: Engine>(src: &str) -> (E, u64) {
     let mut pool = StepPool::limited(BUDGET);
     let mut hooks = RecordingHooks::default();
-    let mut eng = ScriptEngine::with_budget(engine, BUDGET);
+    let mut eng = E::with_budget(BUDGET);
     let _ = eng.run_pooled(src, ScriptSource::inline(), &mut hooks, &mut pool);
     eng.drain_timers_pooled(&mut hooks, &mut pool);
-    BUDGET - pool.remaining()
+    (eng, BUDGET - pool.remaining())
+}
+
+/// The steps one fresh run of engine `E` over `src` charges.
+fn run_once<E: Engine>(src: &str) -> u64 {
+    run::<E>(src).1
 }
 
 fn engines(c: &mut Criterion) {
     for (name, src) in [("hot_loop", hot_loop()), ("page_mix", page_mix())] {
-        let steps = run_once(ExecEngine::Interp, &src);
+        let steps = run_once::<Interpreter>(&src);
         assert_eq!(
             steps,
-            run_once(ExecEngine::Vm, &src),
+            run_once::<Vm>(&src),
             "{name}: engines disagree on step charges"
         );
         let group_name = format!("jsland_{name}");
         let mut group = c.benchmark_group(group_name.as_str());
         group.throughput(Throughput::Elements(steps));
-        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
-            group.bench_with_input(
-                BenchmarkId::from_parameter(engine.as_str()),
-                &engine,
-                |b, &e| b.iter(|| black_box(run_once(e, &src))),
-            );
-        }
+        group.bench_with_input(BenchmarkId::from_parameter("interp"), &src, |b, src| {
+            b.iter(|| black_box(run_once::<Interpreter>(src)))
+        });
+        group.bench_with_input(BenchmarkId::from_parameter("vm"), &src, |b, src| {
+            b.iter(|| black_box(run_once::<Vm>(src)))
+        });
         group.finish();
     }
 }
 
 /// Times `iters` fresh runs and returns steps/sec (compile included for
 /// the VM — a crawl compiles every script it meets exactly once).
-fn steps_per_sec(engine: ExecEngine, src: &str, iters: u32) -> f64 {
-    let steps = run_once(engine, src);
+fn steps_per_sec<E: Engine>(src: &str, iters: u32) -> f64 {
+    let steps = run_once::<E>(src);
     let start = Instant::now();
     for _ in 0..iters {
-        black_box(run_once(engine, src));
+        black_box(run_once::<E>(src));
     }
     steps as f64 * iters as f64 / start.elapsed().as_secs_f64()
 }
@@ -105,21 +109,14 @@ fn record_engines(_c: &mut Criterion) {
         ("hot_loop", hot_loop(), 400u32),
         ("page_mix", page_mix(), 2000),
     ] {
-        let steps = run_once(ExecEngine::Interp, &src);
+        let steps = run_once::<Interpreter>(&src);
         let interp = (0..3)
-            .map(|_| steps_per_sec(ExecEngine::Interp, &src, iters))
+            .map(|_| steps_per_sec::<Interpreter>(&src, iters))
             .fold(0.0f64, f64::max);
         let vm = (0..3)
-            .map(|_| steps_per_sec(ExecEngine::Vm, &src, iters))
+            .map(|_| steps_per_sec::<Vm>(&src, iters))
             .fold(0.0f64, f64::max);
-        let (hits, misses) = {
-            let mut pool = StepPool::limited(BUDGET);
-            let mut hooks = RecordingHooks::default();
-            let mut eng = ScriptEngine::with_budget(ExecEngine::Vm, BUDGET);
-            let _ = eng.run_pooled(&src, ScriptSource::inline(), &mut hooks, &mut pool);
-            eng.drain_timers_pooled(&mut hooks, &mut pool);
-            eng.ic_stats()
-        };
+        let (hits, misses) = run::<Vm>(&src).0.ic_stats();
         let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
         let speedup = vm / interp;
         println!(

@@ -1,6 +1,8 @@
 //! The engine: navigation, frame tree construction, script execution.
 
-use jsland::{ExecEngine, RunError, ScriptEngine, ScriptSource, StepPool};
+use std::marker::PhantomData;
+
+use jsland::{Engine, RunError, ScriptSource, StepPool, Vm};
 use netsim::{FetchError, Network, Response, SimClock};
 use policy::engine::{DocumentPolicy, FramingContext, LocalSchemeBehavior, PolicyEngine};
 use policy::header::{parse_permissions_policy, DeclaredPolicy};
@@ -35,9 +37,6 @@ pub struct BrowserConfig {
     pub interaction: bool,
     /// Local-scheme policy inheritance behaviour (the Table 11 switch).
     pub local_scheme_behavior: LocalSchemeBehavior,
-    /// Which script engine runs page JavaScript (`--js-engine`). Both
-    /// engines produce byte-identical crawl output; the VM is faster.
-    pub js_engine: ExecEngine,
     /// Per-visit resource caps (the governor).
     pub budget: VisitBudget,
 }
@@ -53,7 +52,6 @@ impl Default for BrowserConfig {
             scroll_lazy_iframes: true,
             interaction: false,
             local_scheme_behavior: LocalSchemeBehavior::FreshPolicy,
-            js_engine: ExecEngine::default(),
             budget: VisitBudget::default(),
         }
     }
@@ -96,11 +94,13 @@ impl Default for VisitBudget {
     }
 }
 
-/// The simulated browser.
-pub struct Browser<N> {
+/// The simulated browser. Page scripts run on the script engine `E`:
+/// the bytecode [`Vm`] unless a test names the reference interpreter.
+pub struct Browser<N, E = Vm> {
     network: N,
     engine: PolicyEngine,
     config: BrowserConfig,
+    script_engine: PhantomData<E>,
 }
 
 struct LoadCtx {
@@ -202,10 +202,19 @@ fn truncate_to_boundary(text: &mut String, max_bytes: usize) {
 impl<N: Network> Browser<N> {
     /// A browser over `network` with `config`.
     pub fn new(network: N, config: BrowserConfig) -> Browser<N> {
+        Browser::with_engine(network, config)
+    }
+}
+
+impl<N: Network, E: Engine> Browser<N, E> {
+    /// A browser over `network` with `config` whose pages run on the
+    /// script engine `E`.
+    pub fn with_engine(network: N, config: BrowserConfig) -> Browser<N, E> {
         Browser {
             engine: PolicyEngine::new(config.local_scheme_behavior),
             network,
             config,
+            script_engine: PhantomData,
         }
     }
 
@@ -458,7 +467,7 @@ impl<N: Network> Browser<N> {
         // nothing). Each run draws on the page-wide step pool; failures
         // are per-script, like a real page, but recorded.
         let mut hooks = BrowserHooks::new(&doc.policy);
-        let mut interp = ScriptEngine::new(self.config.js_engine);
+        let mut interp = E::default();
         if doc.scripts_enabled {
             for (index, url, source) in &executable {
                 let script_source = match url {

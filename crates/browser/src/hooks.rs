@@ -186,7 +186,7 @@ fn effective_permissions(call: &ApiCall, declared: &[Permission]) -> Vec<Permiss
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jsland::{Interpreter, ScriptSource};
+    use jsland::{ScriptSource, Vm};
     use policy::header::parse_permissions_policy;
     use policy::PolicyEngine;
     use weburl::Url;
@@ -206,7 +206,7 @@ mod tests {
     fn records_first_occurrence_only() {
         let policy = doc(None);
         let mut hooks = BrowserHooks::new(&policy);
-        let mut interp = Interpreter::new();
+        let mut interp = Vm::new();
         interp
             .run(
                 "navigator.getBattery(); navigator.getBattery(); navigator.getBattery();",
@@ -222,7 +222,7 @@ mod tests {
     fn same_api_from_different_scripts_counts_twice() {
         let policy = doc(None);
         let mut hooks = BrowserHooks::new(&policy);
-        let mut interp = Interpreter::new();
+        let mut interp = Vm::new();
         interp
             .run(
                 "navigator.getBattery();",
@@ -244,7 +244,7 @@ mod tests {
     fn query_state_reflects_policy() {
         let policy = doc(Some("camera=()"));
         let mut hooks = BrowserHooks::new(&policy);
-        let mut interp = Interpreter::new();
+        let mut interp = Vm::new();
         interp
             .run(
                 "navigator.permissions.query({name: 'camera'}).then(function (st) {\
@@ -268,7 +268,7 @@ mod tests {
     fn allowed_features_reflect_policy() {
         let policy = doc(Some("camera=(), microphone=()"));
         let mut hooks = BrowserHooks::new(&policy);
-        let mut interp = Interpreter::new();
+        let mut interp = Vm::new();
         interp
             .run(
                 "var feats = document.featurePolicy.allowedFeatures();\
@@ -292,7 +292,7 @@ mod tests {
     fn blocked_invocations_are_flagged() {
         let policy = doc(Some("camera=()"));
         let mut hooks = BrowserHooks::new(&policy);
-        let mut interp = Interpreter::new();
+        let mut interp = Vm::new();
         interp
             .run(
                 "navigator.mediaDevices.getUserMedia({video: true});",
@@ -307,7 +307,7 @@ mod tests {
     fn general_api_with_specific_feature_resolves_permission() {
         let policy = doc(None);
         let mut hooks = BrowserHooks::new(&policy);
-        let mut interp = Interpreter::new();
+        let mut interp = Vm::new();
         interp
             .run(
                 "document.featurePolicy.allowsFeature('geolocation');",

@@ -49,7 +49,6 @@ mod records;
 
 pub use browser::{Browser, BrowserConfig, VisitBudget};
 pub use hooks::BrowserHooks;
-pub use jsland::ExecEngine;
 pub use records::{
     Completeness, DegradationEvent, DegradationKind, FrameRecord, IframeAttrs, InvocationKind,
     InvocationRecord, PageVisit, PromptRecord, ScriptOutcome, ScriptRecord, VisitError,

@@ -356,20 +356,22 @@ fn compile_failure_is_an_explicit_degradation_event() {
 
 #[test]
 fn interp_and_vm_visits_are_byte_identical() {
+    fn visit_on<E: jsland::Engine>(url: &str) -> browser::PageVisit {
+        let config = BrowserConfig {
+            interaction: true,
+            ..Default::default()
+        };
+        let mut b = Browser::<_, E>::with_engine(SimNetwork::new(TinyWeb), config);
+        b.visit(&Url::parse(url).unwrap(), &mut SimClock::new())
+            .unwrap()
+    }
     for url in [
         "https://publisher.example/",
         "https://attack.example/",
         "https://ads.example/slot",
     ] {
-        let interp_cfg = BrowserConfig {
-            interaction: true,
-            js_engine: browser::ExecEngine::Interp,
-            ..Default::default()
-        };
-        let mut vm_cfg = interp_cfg.clone();
-        vm_cfg.js_engine = browser::ExecEngine::Vm;
-        let a = visit_with(interp_cfg, url).unwrap();
-        let b = visit_with(vm_cfg, url).unwrap();
+        let a = visit_on::<jsland::Interpreter>(url);
+        let b = visit_on::<jsland::Vm>(url);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),

@@ -55,7 +55,6 @@ USAGE:
                                [--shards N] [--resume] [--retries R]
                                [--format jsonl|columnar] [--adversarial]
                                [--fault-panics PM] [--fault-transients PM]
-                               [--js-engine vm|interp]
                                [--record DIR | --replay DIR]
   permissions-odyssey bundle stat DIR [--lenient]
   permissions-odyssey crawl-job start  --dir DIR [--size N] [--seed S]
@@ -63,8 +62,7 @@ USAGE:
                                [--workers W] [--lease N] [--retries R]
                                [--adversarial] [--fault-panics PM]
                                [--fault-transients PM] [--stop-file FILE]
-                               [--status-every N] [--max-rss-mb M]
-                               [--js-engine vm|interp] [--record]
+                               [--status-every N] [--max-rss-mb M] [--record]
   permissions-odyssey crawl-job resume --dir DIR [--workers W] [--lease N]
                                [--stop-file FILE] [--status-every N]
                                [--max-rss-mb M]
@@ -244,15 +242,9 @@ fn cmd_crawl(args: &[String]) -> Result<(), String> {
         None => {
             let retries: u32 = parse_flag(args, "--retries", CrawlConfig::default().max_retries)?;
             let fault_transients: u32 = parse_flag(args, "--fault-transients", 0)?;
-            let js_engine: browser::ExecEngine =
-                parse_flag(args, "--js-engine", browser::ExecEngine::default())?;
             CrawlConfig {
                 workers,
                 max_retries: retries,
-                browser: BrowserConfig {
-                    js_engine,
-                    ..BrowserConfig::default()
-                },
                 faults: netsim::FaultSpec {
                     seed,
                     panic_per_mille: fault_panics,
@@ -289,20 +281,18 @@ fn cmd_crawl(args: &[String]) -> Result<(), String> {
     let mut last_milestone = 0;
     // Stream records to disk as they complete (the paper's per-site
     // persistence, Appendix A.2 C14). Workers encode; this only appends.
-    let mut write_error: Option<String> = None;
-    let sink = |rank: u64, prepared: crawler::Prepared| {
-        if write_error.is_some() {
-            return;
-        }
+    // The first failed append ends the crawl and is the error reported.
+    let sink = |rank: u64, prepared: crawler::Prepared| -> Result<(), String> {
         let shard = crawler::shard_index(rank, writers.len());
-        if let Err(e) = writers[shard].append(prepared) {
-            write_error = Some(format!("{}: {e}", shard_files[shard].display()));
-        }
+        writers[shard]
+            .append(prepared)
+            .map_err(|e| format!("writing {}: {e}", shard_files[shard].display()))?;
         let milestone = telemetry.completed() / progress_every;
         if milestone > last_milestone {
             last_milestone = milestone;
             eprintln!("{}", telemetry.snapshot().progress_line(remaining));
         }
+        Ok(())
     };
     let source = match (&replay, &population) {
         (Some(bundle), _) => crawler::RankSource::Replay(bundle),
@@ -310,12 +300,11 @@ fn cmd_crawl(args: &[String]) -> Result<(), String> {
         (None, None) => unreachable!("a live crawl always has a population"),
     };
     let prepare = |record| crawler::Prepared::new(format, record);
-    let funnel = crawler.stream_prepared(source, &completed, &telemetry, &prepare, sink);
-    for writer in writers {
-        writer.finish().map_err(|e| e.to_string())?;
-    }
-    if let Some(e) = write_error {
-        return Err(format!("writing {e}"));
+    let funnel = crawler.stream_prepared(source, &completed, &telemetry, &prepare, sink)?;
+    for (writer, path) in writers.into_iter().zip(&shard_files) {
+        writer
+            .finish()
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
     }
     if let Some(recorder) = &recorder {
         let sites = recorder
@@ -448,7 +437,6 @@ fn cmd_crawl_job(args: &[String]) -> Result<(), String> {
             manifest.max_retries = parse_flag(rest, "--retries", manifest.max_retries)?;
             manifest.fault_panics_per_mille = parse_flag(rest, "--fault-panics", 0)?;
             manifest.fault_transients_per_mille = parse_flag(rest, "--fault-transients", 0)?;
-            manifest.js_engine = parse_flag(rest, "--js-engine", manifest.js_engine)?;
             if manifest.fault_panics_per_mille > 0 {
                 quiet_injected_panics();
             }

@@ -118,8 +118,6 @@ pub struct BundleMeta {
     pub cache_capacity: usize,
     /// Interaction-mode link budget.
     pub navigate_links: usize,
-    /// Script engine of the recording crawl.
-    pub js_engine: browser::ExecEngine,
 }
 
 impl BundleMeta {
@@ -137,7 +135,6 @@ impl BundleMeta {
             fault_transients_per_mille: config.faults.transient_per_mille,
             cache_capacity: config.cache_capacity,
             navigate_links: config.navigate_links,
-            js_engine: config.browser.js_engine,
         }
     }
 
@@ -146,10 +143,7 @@ impl BundleMeta {
     pub fn replay_config(&self, workers: usize) -> CrawlConfig {
         CrawlConfig {
             workers,
-            browser: browser::BrowserConfig {
-                js_engine: self.js_engine,
-                ..browser::BrowserConfig::default()
-            },
+            browser: browser::BrowserConfig::default(),
             navigate_links: self.navigate_links,
             cache_capacity: self.cache_capacity,
             max_retries: self.max_retries,
@@ -1037,6 +1031,24 @@ impl ReplayBundle {
                 blobs_path.display()
             ));
         }
+        // The first reference (in file order) to a headers blob that
+        // does not decode as a header template; each is decoded once.
+        let undecodable = manifests
+            .header_refs
+            .iter()
+            .filter_map(|(digest, first)| {
+                decode_headers(&blobs[digest])
+                    .err()
+                    .map(|error| (first, error))
+            })
+            .min_by_key(|((offset, _), _)| *offset);
+        if let Some(((offset, rank), error)) = undecodable {
+            return invalid(format!(
+                "{}: manifest at byte {offset} (rank {rank}) references a headers \
+                 blob that is not a header template ({error})",
+                manifests_path.display()
+            ));
+        }
         Ok(ReplayBundle {
             meta,
             blobs,
@@ -1096,7 +1108,7 @@ impl ReplayBundle {
                             } => ExchangeOutcome::Content {
                                 status,
                                 headers: decode_headers(&self.blobs[&headers])
-                                    .expect("strict load verified every header blob's digest"),
+                                    .expect("strict load decoded every headers blob"),
                                 body: self.blobs[&body].clone(),
                                 final_url,
                                 redirects,
@@ -1150,6 +1162,8 @@ struct LoadedManifests {
     /// Every blob digest the manifests reference, with the frame offset
     /// and rank of the first manifest referencing it.
     references: HashMap<[u8; 16], (u64, u64)>,
+    /// The digests referenced as header templates, likewise.
+    header_refs: HashMap<[u8; 16], (u64, u64)>,
 }
 
 /// Strict-loads `manifests.bin`: frames and CRCs, canonical decode and
@@ -1157,6 +1171,7 @@ struct LoadedManifests {
 fn load_manifests(path: &Path) -> std::io::Result<LoadedManifests> {
     let pack = read_pack(path, MANIFEST_MAGIC, StreamMode::Strict)?;
     let mut references = HashMap::new();
+    let mut header_refs = HashMap::new();
     for (index, record) in pack.records.iter().enumerate() {
         let manifest = SiteManifest::decode(pack.payload(record)).map_err(|e| {
             std::io::Error::new(
@@ -1180,16 +1195,20 @@ fn load_manifests(path: &Path) -> std::io::Result<LoadedManifests> {
         for attempt in &manifest.attempts {
             for exchange in &attempt.exchanges {
                 if let OutcomeRef::Content { headers, body, .. } = &exchange.outcome {
+                    let first = (record.offset, manifest.rank);
+                    header_refs.entry(*headers).or_insert(first);
                     for digest in [headers, body] {
-                        references
-                            .entry(*digest)
-                            .or_insert((record.offset, manifest.rank));
+                        references.entry(*digest).or_insert(first);
                     }
                 }
             }
         }
     }
-    Ok(LoadedManifests { pack, references })
+    Ok(LoadedManifests {
+        pack,
+        references,
+        header_refs,
+    })
 }
 
 // --- stat -----------------------------------------------------------------
@@ -1605,6 +1624,25 @@ mod tests {
         let err = assert_load_names(&dir, BUNDLE_MANIFESTS_FILE, rank2_offset);
         assert!(err.contains("references a blob missing"), "{err}");
         assert!(err.contains(&path.display().to_string()), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn body_blob_referenced_as_headers_is_rejected_at_load() {
+        let dir = two_site_store("headers-as-body");
+        let path = dir.join(BUNDLE_MANIFESTS_FILE);
+        let mut manifests: Vec<Vec<u8>> = frames(&path).into_iter().map(|(_, p)| p).collect();
+        let mut rank1 = SiteManifest::decode(&manifests[0]).unwrap();
+        let OutcomeRef::Content { headers, body, .. } = &mut rank1.attempts[0].exchanges[0].outcome
+        else {
+            panic!("rank 1 recorded content");
+        };
+        *headers = *body;
+        manifests[0] = rank1.encode();
+        write_pack(&path, MANIFEST_MAGIC, &manifests);
+        let err = assert_load_names(&dir, BUNDLE_MANIFESTS_FILE, 8);
+        assert!(err.contains("(rank 1)"), "{err}");
+        assert!(err.contains("not a header template"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

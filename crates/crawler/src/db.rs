@@ -591,7 +591,18 @@ impl AnyRecordStream {
         mode: StreamMode,
         columns: crate::colsh::ColumnSet,
     ) -> std::io::Result<AnyRecordStream> {
-        match detect_db_format(path)? {
+        AnyRecordStream::open_as(path, detect_db_format(path)?, mode, columns)
+    }
+
+    /// [`AnyRecordStream::open_projected`] for a file already known to
+    /// be in `format`, without sniffing it again.
+    pub(crate) fn open_as(
+        path: &Path,
+        format: DbFormat,
+        mode: StreamMode,
+        columns: crate::colsh::ColumnSet,
+    ) -> std::io::Result<AnyRecordStream> {
+        match format {
             DbFormat::Jsonl => RecordStream::open(path, mode).map(AnyRecordStream::Jsonl),
             DbFormat::Colsh => crate::colsh::ColshStream::open_projected(path, mode, columns)
                 .map(AnyRecordStream::Colsh),

@@ -105,7 +105,10 @@ impl ShardFollower {
             Ok(format) if format != self.format => return Ok(None),
             Ok(_) => {}
         }
-        match AnyRecordStream::open_projected(&self.path, StreamMode::Resume, self.columns) {
+        // Open as the declared format: a second sniff could see the file
+        // cut below its magic by a crash (or a concurrent truncation)
+        // and open a `.colsh` shard as JSONL.
+        match AnyRecordStream::open_as(&self.path, self.format, StreamMode::Resume, self.columns) {
             Ok(stream) => Ok(Some(stream)),
             Err(e)
                 if matches!(

@@ -110,12 +110,6 @@ pub struct JobManifest {
     pub fault_panics_per_mille: u32,
     /// Injected transient-failure rate, per mille.
     pub fault_transients_per_mille: u32,
-    /// Script engine the job's browsers run. Both engines produce
-    /// byte-identical datasets (ci.sh gates on it), so this is a speed
-    /// knob that still lives in the manifest for provenance. Defaults
-    /// (also for pre-field manifests) to the VM.
-    #[serde(default)]
-    pub js_engine: browser::ExecEngine,
     /// Record every network exchange into a content-addressed bundle
     /// store (`bundle/` inside the job directory) alongside the
     /// dataset, so the whole crawl can later be replayed byte-for-byte
@@ -142,7 +136,6 @@ impl JobManifest {
             retry_backoff_ms: defaults.retry_backoff_ms,
             fault_panics_per_mille: 0,
             fault_transients_per_mille: 0,
-            js_engine: browser::ExecEngine::default(),
             record_bundle: false,
         }
     }
@@ -238,10 +231,6 @@ impl JobManifest {
             workers,
             max_retries: self.max_retries,
             retry_backoff_ms: self.retry_backoff_ms,
-            browser: browser::BrowserConfig {
-                js_engine: self.js_engine,
-                ..browser::BrowserConfig::default()
-            },
             faults: netsim::FaultSpec {
                 seed: self.seed,
                 panic_per_mille: self.fault_panics_per_mille,

@@ -14,7 +14,7 @@
 //!   times with exponential backoff *on the simulated clock*, so
 //!   retries cost simulated time, never wall-clock sleeps, and results
 //!   stay deterministic.
-//! * **Checkpoint/resume** — the streaming/range crawls can skip ranks
+//! * **Checkpoint/resume** — the streaming crawls can skip ranks
 //!   already persisted by an earlier interrupted run (see
 //!   [`crate::resume_jsonl`]); re-crawling the remainder reproduces the
 //!   uninterrupted dataset byte for byte.
@@ -23,7 +23,8 @@
 //!   utilization, cache hit rates) that can be polled mid-crawl.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use browser::{Browser, BrowserConfig, PageVisit, VisitError, VisitOutcome};
@@ -420,7 +421,9 @@ impl Crawler {
 
     /// Crawls the whole population with the configured worker pool.
     pub fn crawl(&self, population: &WebPopulation) -> CrawlDataset {
-        self.crawl_range(population, 1, population.config().size)
+        let mut records = Vec::with_capacity(population.config().size as usize);
+        self.crawl_streaming(population, |record| records.push(record));
+        CrawlDataset { records }
     }
 
     /// Crawls the population, invoking `sink` for every completed record
@@ -445,19 +448,12 @@ impl Crawler {
         population: &WebPopulation,
         completed: &BTreeSet<u64>,
         telemetry: &CrawlTelemetry,
-        mut sink: F,
+        sink: F,
     ) -> CrawlFunnel
     where
         F: FnMut(SiteRecord) + Send,
     {
-        let source = RankSource::Live(population);
-        self.stream_prepared(
-            source,
-            completed,
-            telemetry,
-            &|record| record,
-            |_, record| sink(record),
-        )
+        self.stream_records(RankSource::Live(population), completed, telemetry, sink)
     }
 
     /// Streams a recorded crawl back out of a bundle store: the same
@@ -469,41 +465,57 @@ impl Crawler {
         bundle: &ReplayBundle,
         completed: &BTreeSet<u64>,
         telemetry: &CrawlTelemetry,
+        sink: F,
+    ) -> CrawlFunnel
+    where
+        F: FnMut(SiteRecord) + Send,
+    {
+        self.stream_records(RankSource::Replay(bundle), completed, telemetry, sink)
+    }
+
+    /// [`stream_prepared`](Crawler::stream_prepared) handing `sink` the
+    /// records themselves.
+    fn stream_records<F>(
+        &self,
+        source: RankSource<'_>,
+        completed: &BTreeSet<u64>,
+        telemetry: &CrawlTelemetry,
         mut sink: F,
     ) -> CrawlFunnel
     where
         F: FnMut(SiteRecord) + Send,
     {
-        let source = RankSource::Replay(bundle);
-        self.stream_prepared(
-            source,
-            completed,
-            telemetry,
-            &|record| record,
-            |_, record| sink(record),
-        )
+        let deliver = |_, record| {
+            sink(record);
+            Ok::<(), Infallible>(())
+        };
+        let Ok(funnel) = self.stream_prepared(source, completed, telemetry, &|r| r, deliver);
+        funnel
     }
 
-    /// The streaming pool behind every streamed crawl: visits the ranks
-    /// of `source` not in `completed` and hands `deliver` each rank's
+    /// The streaming pool behind every crawl: visits the ranks of
+    /// `source` not in `completed` and hands `deliver` each rank's
     /// prepared record in rank order.
     ///
     /// The worker that visited a rank runs `prepare` on its record (for
     /// a shard, [`crate::Prepared::new`] encodes it) before the in-order
     /// drain. The drain is one mutex over the reorder buffer, the rank
     /// cursor and `deliver`, so `deliver` should only append what was
-    /// prepared.
-    pub fn stream_prepared<T, D>(
+    /// prepared. The first error `deliver` returns ends the stream:
+    /// nothing more is delivered, workers claim no further ranks, and
+    /// the error is returned once the visits in flight finish.
+    pub fn stream_prepared<T, D, E>(
         &self,
         source: RankSource<'_>,
         completed: &BTreeSet<u64>,
         telemetry: &CrawlTelemetry,
         prepare: &(dyn Fn(SiteRecord) -> T + Sync),
         deliver: D,
-    ) -> CrawlFunnel
+    ) -> Result<CrawlFunnel, E>
     where
         T: Send,
-        D: FnMut(u64, T) + Send,
+        D: FnMut(u64, T) -> Result<(), E> + Send,
+        E: Send,
     {
         match source {
             RankSource::Live(population) => self.stream_observed(
@@ -525,26 +537,29 @@ impl Crawler {
 
     /// The shared streaming pool: visits ranks `1..=to` via `visit`,
     /// delivering prepared records in rank order.
-    fn stream_observed<T, D>(
+    fn stream_observed<T, D, E>(
         &self,
         to: u64,
         completed: &BTreeSet<u64>,
         prepare: &(dyn Fn(SiteRecord) -> T + Sync),
         deliver: D,
         visit: &(dyn Fn(u64, usize) -> SiteRecord + Sync),
-    ) -> CrawlFunnel
+    ) -> Result<CrawlFunnel, E>
     where
         T: Send,
-        D: FnMut(u64, T) + Send,
+        D: FnMut(u64, T) -> Result<(), E> + Send,
+        E: Send,
     {
         /// The in-order drain: everything the delivery lock covers.
-        struct Drain<T, D> {
+        struct Drain<T, D, E> {
             /// Prepared records waiting for the cursor.
             pending: BTreeMap<u64, (Tally, T)>,
             /// Next rank to deliver.
             cursor: u64,
             funnel: CrawlFunnel,
             deliver: D,
+            /// The first delivery error; nothing is delivered after it.
+            failed: Option<E>,
         }
 
         let workers = self.config.workers.max(1);
@@ -557,6 +572,7 @@ impl Crawler {
                 ..CrawlFunnel::default()
             },
             deliver,
+            failed: None,
         });
 
         std::thread::scope(|scope| {
@@ -576,6 +592,9 @@ impl Crawler {
                     let prepared = prepare(record);
                     let mut guard = drain.lock().expect("drain lock");
                     let drain = &mut *guard;
+                    if drain.failed.is_some() {
+                        continue;
+                    }
                     drain.pending.insert(rank, (tally, prepared));
                     // Deliver the in-order prefix (checkpointed ranks
                     // count as already delivered).
@@ -589,62 +608,23 @@ impl Crawler {
                             break;
                         };
                         drain.funnel.count_tally(tally);
-                        (drain.deliver)(cursor, prepared);
+                        if let Err(error) = (drain.deliver)(cursor, prepared) {
+                            drain.failed = Some(error);
+                            drain.pending.clear();
+                            // Past the last rank: every worker stops
+                            // claiming once its visit in flight is done.
+                            next_rank.fetch_max(to + 1, Ordering::Relaxed);
+                            break;
+                        }
                         drain.cursor += 1;
                     }
                 });
             }
         });
-        drain.into_inner().expect("drain lock").funnel
-    }
-
-    /// Crawls ranks `from..=to` (1-based, inclusive).
-    pub fn crawl_range(&self, population: &WebPopulation, from: u64, to: u64) -> CrawlDataset {
-        let telemetry = CrawlTelemetry::new(self.config.workers);
-        self.crawl_range_observed(population, from, to, &BTreeSet::new(), &telemetry)
-    }
-
-    /// [`crawl_range`](Crawler::crawl_range) with resume and
-    /// observability: ranks in `skip` are omitted from the visit plan
-    /// and from the returned dataset (which stays in rank order).
-    pub fn crawl_range_observed(
-        &self,
-        population: &WebPopulation,
-        from: u64,
-        to: u64,
-        skip: &BTreeSet<u64>,
-        telemetry: &CrawlTelemetry,
-    ) -> CrawlDataset {
-        let workers = self.config.workers.max(1);
-        let ranks: Vec<u64> = (from..=to).filter(|r| !skip.contains(r)).collect();
-        let mut records: Vec<Option<SiteRecord>> = Vec::new();
-        records.resize_with(ranks.len(), || None);
-        let results = Mutex::new(records);
-        let next = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            let ranks = &ranks;
-            let results = &results;
-            let next = &next;
-            for worker in 0..workers {
-                scope.spawn(move || loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&rank) = ranks.get(idx) else {
-                        break;
-                    };
-                    let record = self.visit_observed(population, rank, Some((telemetry, worker)));
-                    results.lock().expect("results lock")[idx] = Some(record);
-                });
-            }
-        });
-
-        CrawlDataset {
-            records: results
-                .into_inner()
-                .expect("results lock")
-                .into_iter()
-                .map(|r| r.expect("every rank visited"))
-                .collect(),
+        let drain = drain.into_inner().expect("drain lock");
+        match drain.failed {
+            Some(error) => Err(error),
+            None => Ok(drain.funnel),
         }
     }
 }
@@ -989,5 +969,36 @@ mod streaming_tests {
         assert_eq!(streamed, (26..=40).collect::<Vec<u64>>());
         assert_eq!(funnel.attempted, 15);
         assert_eq!(telemetry.completed(), 15);
+    }
+
+    #[test]
+    fn a_failed_delivery_stops_the_crawl() {
+        let pop = WebPopulation::new(PopulationConfig {
+            seed: 7,
+            size: 2_000,
+        });
+        let crawler = Crawler::new(CrawlConfig {
+            workers: 4,
+            ..CrawlConfig::default()
+        });
+        let telemetry = CrawlTelemetry::new(4);
+        let mut delivered: Vec<u64> = Vec::new();
+        let result = crawler.stream_prepared(
+            RankSource::Live(&pop),
+            &BTreeSet::new(),
+            &telemetry,
+            &|record| record,
+            |rank, _| {
+                if rank == 10 {
+                    return Err(format!("rank {rank} failed"));
+                }
+                delivered.push(rank);
+                Ok(())
+            },
+        );
+        assert_eq!(result.unwrap_err(), "rank 10 failed");
+        assert_eq!(delivered, (1..10).collect::<Vec<u64>>());
+        let visited = telemetry.completed();
+        assert!(visited < 200, "{visited} of 2000 ranks visited");
     }
 }

@@ -3,9 +3,9 @@
 //! The bytecode VM must be observably indistinguishable from the
 //! tree-walking interpreter: same run result, same host-call trace, same
 //! pending handlers, same step-pool accounting — down to the exact
-//! number of steps charged, because crawl byte-identity between
-//! `--js-engine interp` and `--js-engine vm` rides on it. This module
-//! generates seeded well-formed scripts over the whole accepted subset
+//! number of steps charged, because page-level byte-identity between
+//! the two engines (the gate in `tests/engines.rs`) rides on it. This
+//! module generates seeded well-formed scripts over the whole accepted subset
 //! (closures, classes, `async`/`await`, timers, host chains, runaway
 //! loops that exhaust the budget) and executes each on both engines,
 //! comparing full traces. Counterexamples shrink greedily by dropping
@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use jsland::{ExecEngine, RecordingHooks, ScriptEngine, ScriptSource, StepPool};
+use jsland::{Engine, Interpreter, RecordingHooks, ScriptSource, StepPool, Vm};
 
 use crate::rng::Rng;
 
@@ -67,9 +67,9 @@ struct Trace {
     pool_remaining: u64,
 }
 
-fn trace(engine: ExecEngine, source: &str) -> Trace {
+fn trace<E: Engine>(source: &str) -> Trace {
     let mut hooks = RecordingHooks::default();
-    let mut eng = ScriptEngine::with_budget(engine, BUDGET);
+    let mut eng = E::with_budget(BUDGET);
     let mut pool = StepPool::limited(POOL);
     let result = eng
         .run_pooled(source, ScriptSource::inline(), &mut hooks, &mut pool)
@@ -103,8 +103,8 @@ fn trace(engine: ExecEngine, source: &str) -> Trace {
 /// Runs `source` on both engines and describes the first disagreement,
 /// if any.
 pub fn divergence(source: &str) -> Option<String> {
-    let interp = trace(ExecEngine::Interp, source);
-    let vm = trace(ExecEngine::Vm, source);
+    let interp = trace::<Interpreter>(source);
+    let vm = trace::<Vm>(source);
     if interp == vm {
         return None;
     }

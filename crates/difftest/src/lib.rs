@@ -10,7 +10,7 @@
 //!   lockstep engine-vs-oracle executor, and a counterexample shrinker;
 //! * [`jsdiff`] — seeded script generation and lockstep interp-vs-VM
 //!   execution for `jsland`'s two engines, with statement-level
-//!   shrinking (the `--js-engine` byte-identity guarantee's test rig);
+//!   shrinking;
 //! * [`replay`] — record/replay determinism: every scenario loaded
 //!   through a recording network into a content-addressed bundle store
 //!   must replay from the store with an identical visit record;

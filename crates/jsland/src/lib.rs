@@ -72,7 +72,7 @@ mod parser;
 mod value;
 mod vm;
 
-pub use engine::{ExecEngine, ScriptEngine};
+pub use engine::Engine;
 pub use host::{ApiCall, HostHooks, RecordingHooks, ScriptSource};
 pub use interp::{Interpreter, PendingHandler, RunError, StepPool};
 pub use value::Value;

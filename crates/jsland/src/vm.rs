@@ -1560,20 +1560,21 @@ mod tests {
 
     #[test]
     fn script_engine_dispatches_both_variants() {
-        use crate::engine::{ExecEngine, ScriptEngine};
-        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
+        fn check<E: crate::Engine>() {
             let mut hooks = RecordingHooks::default();
-            let mut eng = ScriptEngine::new(engine);
-            eng.run(
+            let mut eng = E::default();
+            eng.run_pooled(
                 "element.onclick = function () { navigator.getBattery(); };",
                 ScriptSource::inline(),
                 &mut hooks,
+                &mut StepPool::unlimited(),
             )
             .unwrap();
-            assert_eq!(eng.engine(), engine);
             assert_eq!(eng.handlers().len(), 1);
             assert_eq!(eng.fire_event("click", &mut hooks), 1);
             assert_eq!(paths(&hooks), vec!["navigator.getBattery"]);
         }
+        check::<Interpreter>();
+        check::<Vm>();
     }
 }

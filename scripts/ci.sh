@@ -47,15 +47,24 @@ cmp "$IDENT/streaming.jsonl" "$IDENT/value-tree.jsonl"
 rm -rf "$IDENT"
 echo "    crawl, streaming re-encode, and value-tree re-encode are byte-identical"
 
-echo "==> js-engine byte-identity gate (20k sites, interp vs vm)"
+echo "==> page-level engine gate (20k seed-7, 2k adversarial, 2k interaction ranks)"
+# Every rank visited through the browser on the bytecode VM and on the
+# tree-walking reference must serialize identically, and equal the
+# visit the production crawl recorded when it took one attempt.
+cargo test -q --release -p difftest --test engines -- --ignored
+echo "    bytecode-VM and tree-walker visits are byte-identical, and match the crawl"
+
+echo "==> a failed shard write stops the crawl and names the file"
 BIN=target/release/permissions-odyssey
-ENG=$(mktemp -d)
-trap 'rm -rf "$ENG"' EXIT
-"$BIN" crawl --size 20000 --seed 7 --js-engine vm --out "$ENG/vm.jsonl" 2>/dev/null
-"$BIN" crawl --size 20000 --seed 7 --js-engine interp --out "$ENG/interp.jsonl" 2>/dev/null
-cmp "$ENG/vm.jsonl" "$ENG/interp.jsonl"
-rm -rf "$ENG"
-echo "    bytecode-VM and tree-walker crawls are byte-identical"
+FULL=$(mktemp)
+trap 'rm -f "$FULL"' EXIT
+if "$BIN" crawl --size 4000 --out /dev/full 2>"$FULL"; then
+    echo "crawling into /dev/full unexpectedly succeeded" >&2
+    exit 1
+fi
+grep -q "/dev/full" "$FULL"
+rm -f "$FULL"
+echo "    crawl --out /dev/full exits non-zero naming /dev/full"
 
 echo "==> sharded round-trip smoke (crawl --shards 4 vs unsharded)"
 BIN=target/release/permissions-odyssey

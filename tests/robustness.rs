@@ -257,9 +257,10 @@ fn adversarial_shard_streams_are_identical_at_any_worker_count() {
                 |rank, prepared| {
                     delivered.push(rank);
                     let shard = crawler::shard_index(rank, SHARDS);
-                    sinks[shard].append(prepared).unwrap();
+                    sinks[shard].append(prepared)
                 },
-            );
+            )
+            .unwrap();
             for sink in sinks {
                 sink.finish().unwrap();
             }
